@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammaln, pdtrik, xlogy
 
 from .errors import (
     DegenerateProbs,
@@ -19,12 +19,14 @@ from .errors import (
     NonPositiveInput,
     PoleEvaluation,
     ProbSumInvalid,
-    SingularSubgenerator,
+    StiffChain,
 )
 from .model import GeneralizedCoxModel, PhaseTypeRep, to_phase_type
 
 POLE_TOL = 1e-14
 UNIFORMIZATION_TAIL = 1e-12
+# A branch needing more uniformization terms than this is refused as too stiff.
+MAX_UNIFORMIZATION_TERMS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,7 @@ class MomentSummary:
                       higher: tuple[float, ...] = ()) -> "MomentSummary":
         if mean < 0.0 or variance < 0.0:
             raise NonPositiveInput("mean and variance must be nonnegative")
-        cv2 = variance / mean**2 if mean > 0.0 else math.inf
+        cv2 = variance / mean / mean if mean > 0.0 else math.inf
         return cls(mean, variance, mean**2 + variance, cv2, higher)
 
 
@@ -68,7 +70,8 @@ def second_moment(model: GeneralizedCoxModel) -> float:
     for b in model.branches:
         xs = [1.0 / r for r in b.rates]
         sx = math.fsum(xs)
-        total += b.prob * (sx * sx + math.fsum(x * x for x in xs))
+        # p multiplies first: a huge stage mean behind a tiny p stays finite
+        total += b.prob * sx * sx + math.fsum(b.prob * x * x for x in xs)
     return total
 
 
@@ -87,19 +90,11 @@ def _neg_subgen_solve(rep: PhaseTypeRep, b: np.ndarray) -> np.ndarray:
     """Solve (-T) x = b exploiting the per-branch upper-bidiagonal blocks.
 
     Within a chain, row k reads lambda_k x_k - lambda_k x_{k+1} = b_k, so
-    x_k = b_k / lambda_k + x_{k+1}; the last stage has x_L = b_L / lambda_L.
+    x_k = sum_{i>=k} b_i / lambda_i, a suffix cumulative sum per block.
     """
-    rates = -np.diag(rep.subgen)
-    if np.any(rates <= 0.0):
-        raise SingularSubgenerator("subgenerator diagonal must be negative")
-    x = np.empty_like(b, dtype=float)
-    pos = 0
-    for length in rep.block_lengths:
-        sl = slice(pos, pos + length)
-        ratio = b[sl] / rates[sl]
-        # suffix cumulative sum: x_k = sum_{i>=k} b_i / lambda_i
-        x[sl] = ratio[::-1].cumsum()[::-1]
-        pos += length
+    x = b / rep.rates
+    for (block,) in rep.blocks(x):
+        block[:] = block[::-1].cumsum()[::-1]
     return x
 
 
@@ -108,64 +103,60 @@ def moment_k(model: GeneralizedCoxModel, k: int) -> float:
     if k < 1:
         raise NonPositiveInput("moment order must be >= 1")
     rep = to_phase_type(model)
-    if rep.n == 0:
-        return 0.0
     v = np.ones(rep.n)
     for _ in range(k):
         v = _neg_subgen_solve(rep, v)
     return float(math.factorial(k) * rep.alpha @ v)
 
 
-def _uniformized_weights(rep: PhaseTypeRep, v: np.ndarray, n_terms: int) -> np.ndarray:
-    """Coefficients a_n = alpha P^n v of the uniformization series."""
-    q = float(np.max(-np.diag(rep.subgen)))
-    p_mat = np.eye(rep.n) + rep.subgen / q
-    coeffs = np.empty(n_terms)
-    w = v.astype(float)
-    for n in range(n_terms):
-        coeffs[n] = rep.alpha @ w
-        w = p_mat @ w
-    return coeffs
+def _uniformized_apply(rep: PhaseTypeRep, t, v: np.ndarray):
+    """alpha exp(T t) v at a time or array of times, uniformized per branch.
 
-
-def _uniformized_apply(rep: PhaseTypeRep, ts: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """alpha exp(T t) v for an array of times via the uniformization series,
-    truncated where the Poisson tail falls below UNIFORMIZATION_TAIL."""
-    if rep.n == 0:
-        return np.zeros_like(ts, dtype=float)
-    q = float(np.max(-np.diag(rep.subgen)))
-    qt = q * ts
-    qt_max = float(np.max(qt, initial=0.0))
-    n_max = int(stats.poisson.isf(UNIFORMIZATION_TAIL * 1e-2, qt_max)) + 2 if qt_max > 0 else 1
-    coeffs = _uniformized_weights(rep, v, n_max + 1)
-    out = np.empty_like(ts, dtype=float)
-    ns = np.arange(n_max + 1)
-    chunk = max(1, 10_000_000 // (n_max + 1))
-    for lo in range(0, len(ts), chunk):
-        pmf = stats.poisson.pmf(ns[None, :], qt[lo:lo + chunk, None])
-        out[lo:lo + chunk] = pmf @ coeffs
-    return out
+    Each branch is uniformized at its own largest rate q, so a fast branch
+    cannot stiffen a slow one (Reibman & Trivedi, Comput. Oper. Res. 15(1),
+    1988). An equal-rate branch makes P = I + T/q a pure shift, exact after
+    L terms; any other is cut where the Poisson tail at the largest q t
+    falls below UNIFORMIZATION_TAIL.
+    """
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(ts < 0.0):
+        raise NegativeTime("density and cdf defined for t >= 0")
+    out = np.zeros_like(ts)
+    for alpha, rates, w in rep.blocks(rep.alpha, rep.rates, v):
+        q = float(rates.max())
+        if np.all(rates == q):
+            coeffs = w  # (P^n v)_0 = v_n
+        else:
+            qt_max = q * float(np.max(ts, initial=0.0))
+            tail = pdtrik(1.0 - UNIFORMIZATION_TAIL * 1e-2, qt_max)
+            if not tail <= MAX_UNIFORMIZATION_TERMS:
+                raise StiffChain(f"rates {rates.min()!r} to {q!r} need {tail!r} "
+                                 f"uniformization terms at q*t = {qt_max!r}")
+            r = rates / q
+            coeffs = np.empty(math.ceil(tail) + 3)
+            for n in range(len(coeffs)):
+                coeffs[n] = w[0]
+                # bidiagonal step w <- P w: w_k = (1 - r_k) w_k + r_k w_{k+1}
+                w = (1.0 - r) * w + r * np.append(w[1:], 0.0)
+        ns = np.arange(len(coeffs))
+        chunk = max(1, 10_000_000 // len(coeffs))
+        for lo in range(0, len(ts), chunk):
+            qt = q * ts[lo:lo + chunk, None]
+            pmf = np.exp(xlogy(ns, qt) - gammaln(ns + 1) - qt)  # Poisson(q t)
+            out[lo:lo + chunk] += alpha[0] * (pmf @ coeffs)
+    return float(out[0]) if np.ndim(t) == 0 else out
 
 
 def pdf(model: GeneralizedCoxModel, t):
     """Density of the continuous part (the atom at zero is excluded)."""
-    ts = np.asarray(t, dtype=float)
-    if np.any(ts < 0.0):
-        raise NegativeTime("density defined for t >= 0")
     rep = to_phase_type(model)
-    vals = _uniformized_apply(rep, np.atleast_1d(ts), rep.exit_rates)
-    return float(vals[0]) if ts.ndim == 0 else vals
+    return _uniformized_apply(rep, t, rep.exit_rates)
 
 
 def cdf(model: GeneralizedCoxModel, t):
     """P(T <= t), including the atom at zero (cdf(0) = atom weight)."""
-    ts = np.asarray(t, dtype=float)
-    if np.any(ts < 0.0):
-        raise NegativeTime("cdf defined for t >= 0")
     rep = to_phase_type(model)
-    surv = _uniformized_apply(rep, np.atleast_1d(ts), np.ones(rep.n))
-    vals = 1.0 - surv
-    return float(vals[0]) if ts.ndim == 0 else vals
+    return 1.0 - _uniformized_apply(rep, t, np.ones(rep.n))
 
 
 @dataclass(frozen=True)
@@ -181,7 +172,8 @@ def min_second_moment(probs, lengths, mu: float) -> MinSecondMomentReport:
 
     The Lagrange solution makes every stage mean in branch j equal to
     gamma / (2 (1 + L_j)) with gamma = 2 mu / sum_j p_j L_j / (1 + L_j);
-    the bound 1 + 1/L_{j*} follows from the longest branch.
+    the bound 1 + 1/L_{j*} follows from the longest branch. Zero-length
+    (atom) branches add nothing to the sum.
     """
     probs = [float(p) for p in probs]
     lengths = [int(L) for L in lengths]
@@ -189,13 +181,13 @@ def min_second_moment(probs, lengths, mu: float) -> MinSecondMomentReport:
         raise NonPositiveInput("mu must be positive")
     if len(probs) != len(lengths) or not probs:
         raise NonPositiveInput("need one length per probability")
-    if any(L < 1 for L in lengths):
-        raise NonPositiveInput("branch lengths must be positive integers")
-    if all(p == 0.0 for p in probs):
-        raise DegenerateProbs("at least one branch must have positive probability")
+    if any(L < 0 for L in lengths):
+        raise NonPositiveInput("branch lengths must be nonnegative integers")
+    denom = math.fsum(p * L / (1.0 + L) for p, L in zip(probs, lengths))
+    if denom == 0.0:
+        raise DegenerateProbs("no probability falls on a branch with stages")
     if abs(math.fsum(probs) - 1.0) > 1e-9:
         raise ProbSumInvalid("probabilities must sum to 1")
-    denom = math.fsum(p * L / (1.0 + L) for p, L in zip(probs, lengths))
     ratio_min = 1.0 / denom
     gamma = 2.0 * mu / denom
     optimal_x = tuple(

@@ -52,13 +52,11 @@ def _print_fit_diagnostics(fit: fitting.FitResult) -> None:
     print(f"achieved_mean={fit.achieved.mean!r} achieved_variance={fit.achieved.variance!r}", file=err)
     print(f"alpha={fit.alpha_n!r}", file=err)
     # minimum achievable E[T^2]/mu^2 for this topology and its state bound
-    denom = sum(
-        b.prob * b.length / (1.0 + b.length) for b in fit.model.branches
-    )
-    if denom > 0.0:
-        max_len = max(b.length for b in fit.model.branches)
-        print(f"min_second_moment_ratio={1.0 / denom!r}", file=err)
-        print(f"lower_bound={1.0 + 1.0 / max_len!r}", file=err)
+    bound = analysis.min_second_moment([b.prob for b in fit.model.branches],
+                                       [b.length for b in fit.model.branches],
+                                       fit.target.mean)
+    print(f"min_second_moment_ratio={bound.ratio_min!r}", file=err)
+    print(f"lower_bound={bound.lower_bound!r}", file=err)
 
 
 def cmd_fit(args) -> int:

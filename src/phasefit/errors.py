@@ -19,6 +19,10 @@ class NonPositiveRate(PhasefitError):
     """A stage or routing rate must be strictly positive and finite."""
 
 
+class MalformedModel(PhasefitError):
+    """Model data does not follow the JSON interchange format."""
+
+
 class UnsupportedShape(PhasefitError):
     """Operation is only defined for a specific model topology."""
 
@@ -29,8 +33,8 @@ class PoleEvaluation(PhasefitError):
     """Laplace transform evaluated too close to one of its poles."""
 
 
-class SingularSubgenerator(PhasefitError):
-    """Subgenerator cannot be inverted (defensive; unreachable for valid models)."""
+class StiffChain(PhasefitError):
+    """A branch's stage rates lie too far apart for uniformization at this time."""
 
 
 class NegativeTime(PhasefitError):
@@ -38,7 +42,7 @@ class NegativeTime(PhasefitError):
 
 
 class DegenerateProbs(PhasefitError):
-    """All routing probabilities are zero."""
+    """No routing probability falls on a branch with stages."""
 
 
 # --- fitting ---

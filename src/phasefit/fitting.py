@@ -35,6 +35,8 @@ SAUER_CHANDY = "SauerChandy"
 
 # Guard against ceil() bumping N up when mu^2/sigma^2 is integral to roundoff.
 _CEIL_GUARD = 1e-12
+# Fits needing more stages than this are refused rather than built.
+MAX_STAGES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -47,11 +49,14 @@ class FitResult:
     alpha_n: float
 
 
-def _check_targets(mu: float, sigma2: float) -> None:
+def _check_targets(mu: float, sigma2: float) -> float:
+    """Validate the targets and return Cv^2, which every family and the
+    dispatch compute the same way (dividing twice cannot underflow mu^2)."""
     if not (mu > 0.0 and math.isfinite(mu)):
         raise NonPositiveInput(f"mean must be positive, got {mu}")
     if not (sigma2 >= 0.0 and math.isfinite(sigma2)):
         raise NonPositiveInput(f"variance must be nonnegative, got {sigma2}")
+    return sigma2 / mu / mu
 
 
 def _result(model, family, mu, sigma2, alpha_n):
@@ -67,19 +72,22 @@ def _result(model, family, mu, sigma2, alpha_n):
 
 def minimal_states(mu: float, sigma2: float) -> int:
     """Smallest transient-state count able to match (mu, sigma2)."""
-    _check_targets(mu, sigma2)
+    cv2 = _check_targets(mu, sigma2)
     if sigma2 <= 0.0:
         raise NonPositiveInput("variance must be positive")
-    if sigma2 >= mu * mu:
+    if cv2 >= 1.0:
         return 1
-    return max(1, math.ceil(mu * mu / sigma2 - _CEIL_GUARD))
+    ratio = mu / sigma2 * mu
+    if not ratio <= MAX_STAGES:
+        raise DomainError(f"matching these moments needs N = {ratio:.6g} stages, "
+                          f"more than {MAX_STAGES}")
+    return max(1, math.ceil(ratio - _CEIL_GUARD))
 
 
 def almost_erlang(mu: float, sigma2: float) -> FitResult:
     """Single-branch hypoexponential: N-1 equal stage means plus one
     distinct stage, with N = ceil(mu^2/sigma^2)."""
-    _check_targets(mu, sigma2)
-    if sigma2 >= mu * mu:
+    if _check_targets(mu, sigma2) >= 1.0:
         raise DomainError("almost-Erlang requires sigma^2 < mu^2")
     n = minimal_states(mu, sigma2)
     if n < 2:
@@ -98,8 +106,7 @@ def almost_erlang(mu: float, sigma2: float) -> FitResult:
 def simplest_hyper(mu: float, sigma2: float) -> FitResult:
     """One exponential state with probability p = 2/(1+Cv^2) plus an atom
     at zero; the minimal topology for Cv >= 1."""
-    _check_targets(mu, sigma2)
-    cv2 = sigma2 / (mu * mu)
+    cv2 = _check_targets(mu, sigma2)
     if cv2 < 1.0:
         raise DomainError("simplest hyperexponential requires sigma^2 >= mu^2")
     p = 2.0 / (1.0 + cv2)
@@ -115,8 +122,7 @@ def simplest_hyper(mu: float, sigma2: float) -> FitResult:
 def hyper_family(mu: float, sigma2: float, p: float) -> FitResult:
     """Two-branch hyperexponential with caller-chosen routing probability
     0 < p <= 2/(1+Cv^2); at the upper limit the second stage mean hits 0."""
-    _check_targets(mu, sigma2)
-    cv2 = sigma2 / (mu * mu)
+    cv2 = _check_targets(mu, sigma2)
     if cv2 <= 1.0:
         raise DomainError("hyperexponential family requires sigma^2 > mu^2")
     p_max = 2.0 / (1.0 + cv2)
@@ -136,13 +142,13 @@ def hyper_family(mu: float, sigma2: float, p: float) -> FitResult:
 
 def fit_two_moments(mu: float, sigma2: float) -> FitResult:
     """Minimal-state fit of the first two moments."""
-    _check_targets(mu, sigma2)
+    cv2 = _check_targets(mu, sigma2)
     if sigma2 == 0.0:
         raise DeterministicUnrepresentable(
             "zero variance needs infinitely many stages; "
             "use an explicit Erlang-N approximation instead"
         )
-    if sigma2 >= mu * mu:
+    if cv2 >= 1.0:
         return simplest_hyper(mu, sigma2)
     if minimal_states(mu, sigma2) < 2:
         # sigma^2 below mu^2 only by roundoff: exponential boundary.
@@ -166,8 +172,7 @@ def sauer_chandy(mu: float, sigma2: float) -> FitResult:
     """Sauer-Chandy two-state hyperexponential baseline (Cv > 1 branch):
     p = (Cv^2+1 - sqrt(Cv^4-1)) / (2 (Cv^2+1)), stage means mu/(2p) and
     mu/(2(1-p))."""
-    _check_targets(mu, sigma2)
-    cv2 = sigma2 / (mu * mu)
+    cv2 = _check_targets(mu, sigma2)
     if cv2 <= 1.0:
         raise DomainError("Sauer-Chandy baseline requires sigma^2 > mu^2")
     p = (cv2 + 1.0 - math.sqrt(cv2 * cv2 - 1.0)) / (2.0 * (cv2 + 1.0))

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     EmptyModel,
+    MalformedModel,
     NonPositiveRate,
     ProbSumInvalid,
     UnsupportedShape,
@@ -150,48 +151,62 @@ def from_classical_cox(spec: ClassicalCoxSpec) -> GeneralizedCoxModel:
 
 @dataclass(frozen=True)
 class PhaseTypeRep:
-    """Canonical analytic form: atom at zero, initial vector, subgenerator.
+    """Canonical analytic form: atom at zero, initial vector, stage rates.
 
     The subgenerator is block-bidiagonal, one upper-bidiagonal block per
-    non-instantaneous branch; ``block_lengths`` records the block sizes in
-    state order.
+    non-instantaneous branch, so it is stored as the flat stage ``rates`` in
+    state order plus the block sizes ``block_lengths``. Within a block,
+    state k moves to k + 1 at rate ``rates[k]``; the last state of a block
+    is absorbed at its own rate.
     """
 
     atom0: float
     alpha: np.ndarray
-    subgen: np.ndarray
-    block_lengths: tuple[int, ...] = field(default=())
+    rates: np.ndarray
+    block_lengths: tuple[int, ...]
 
     @property
     def n(self) -> int:
         return len(self.alpha)
 
+    def blocks(self, *arrays):
+        """Per-branch views of state-indexed arrays, one tuple per block."""
+        pos = 0
+        for length in self.block_lengths:
+            yield tuple(x[pos:pos + length] for x in arrays)
+            pos += length
+
     @property
     def exit_rates(self) -> np.ndarray:
         """Absorption rate out of each transient state (-T @ 1)."""
-        return -self.subgen.sum(axis=1)
+        exits = np.zeros(self.n)
+        last = np.cumsum(self.block_lengths, dtype=int) - 1
+        exits[last] = self.rates[last]
+        return exits
+
+    @property
+    def subgen(self) -> np.ndarray:
+        """The dense n x n subgenerator T, built only for CTMC export."""
+        t = np.diag(-self.rates)
+        inner = np.flatnonzero(self.exit_rates == 0.0)  # states that move on
+        t[inner, inner + 1] = self.rates[inner]
+        return t
 
 
 def to_phase_type(model: GeneralizedCoxModel) -> PhaseTypeRep:
     """Exact phase-type form: instantaneous branches become the atom at zero,
     each remaining branch becomes a chain of states absorbed from its last
-    stage at that stage's own rate."""
+    stage at that stage's own rate. O(n) in the number of stages."""
     chains = [b for b in model.branches if not b.instantaneous]
-    n = sum(b.length for b in chains)
+    lengths = tuple(b.length for b in chains)
+    n = sum(lengths)
+    rates = np.fromiter((r for b in chains for r in b.rates), float, n)
     alpha = np.zeros(n)
-    subgen = np.zeros((n, n))
     pos = 0
-    lengths = []
     for b in chains:
         alpha[pos] = b.prob
-        for k, rate in enumerate(b.rates):
-            i = pos + k
-            subgen[i, i] = -rate
-            if k + 1 < b.length:
-                subgen[i, i + 1] = rate
         pos += b.length
-        lengths.append(b.length)
-    return PhaseTypeRep(model.atom_weight, alpha, subgen, tuple(lengths))
+    return PhaseTypeRep(model.atom_weight, alpha, rates, lengths)
 
 
 @dataclass(frozen=True)
@@ -236,9 +251,15 @@ def model_to_json(model: GeneralizedCoxModel) -> str:
 
 
 def model_from_dict(data: dict) -> GeneralizedCoxModel:
-    return new_model(
-        Branch(b["prob"], tuple(b.get("rates", ()))) for b in data["branches"]
-    )
+    """Model from the interchange format; data of another shape raises
+    MalformedModel."""
+    branches = data.get("branches") if isinstance(data, dict) else None
+    if not isinstance(branches, list):
+        raise MalformedModel("model data needs a list under 'branches'")
+    try:
+        return new_model(Branch(b["prob"], tuple(b.get("rates", ()))) for b in branches)
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise MalformedModel(f"malformed branch: {type(exc).__name__}: {exc}") from exc
 
 
 def model_from_json(text: str) -> GeneralizedCoxModel:

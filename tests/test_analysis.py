@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +12,15 @@ from phasefit import (
     Branch,
     cdf,
     exponential_model,
+    fit_two_moments,
+    hyper_family,
     laplace,
     mean,
     min_second_moment,
     moment_k,
     new_model,
     pdf,
+    sauer_chandy,
     second_moment,
     summarize,
     variance,
@@ -23,6 +30,7 @@ from phasefit.errors import (
     NegativeTime,
     NonPositiveInput,
     PoleEvaluation,
+    StiffChain,
 )
 
 
@@ -179,6 +187,106 @@ class TestPdfCdf:
         with pytest.raises(NegativeTime):
             cdf(exponential_model(1.0), -0.1)
 
+    def test_cross_branch_stiffness_matches_closed_form(self):
+        # rates 0.4 and 4.8e12 in separate branches: each branch is
+        # uniformized at its own rate, so the fast one cannot swamp the slow
+        m = hyper_family(1.0, 4.0, 0.4 - 1e-13).model
+        (b1, b2) = m.branches
+        (l1,), (l2,) = b1.rates, b2.rates
+        assert l2 / l1 > 1e12
+        ts = np.linspace(0.0, 10.0, 1000)
+        surv = b1.prob * np.exp(-l1 * ts) + b2.prob * np.exp(-l2 * ts)
+        dens = b1.prob * l1 * np.exp(-l1 * ts) + b2.prob * l2 * np.exp(-l2 * ts)
+        np.testing.assert_allclose(cdf(m, ts), 1.0 - surv, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pdf(m, ts), dens, rtol=1e-12, atol=1e-12)
+
+    def test_stiff_chain_within_a_branch_refused(self):
+        m = new_model([Branch(1.0, (1.0, 1e13))])
+        with pytest.raises(StiffChain):
+            cdf(m, 1.0)
+
+
+# Values recorded from the dense-subgenerator implementation (global
+# uniformization rate, scipy.stats Poisson weights) at GOLDEN_TS.
+GOLDEN_TS = np.array([0.0, 0.3, 1.0, 2.5, 7.0])
+GOLDEN_MODELS = {
+    "almost_erlang3": fit_two_moments(1.0, 0.4).model,
+    "almost_erlang20": fit_two_moments(1.0, 1 / 19.5).model,
+    "hyper_atom": fit_two_moments(1.0, 16.0).model,
+    "sauer_chandy": sauer_chandy(1.0, 4.0).model,
+    "cox4_atom": new_model([Branch(0.35, (1.0, 2.0, 3.0)), Branch(0.25, (0.5,)),
+                            Branch(0.25, (4.0, 4.0)), Branch(0.15, ())]),
+}
+GOLDEN = {  # name: (cdf at GOLDEN_TS, pdf at GOLDEN_TS, moment_k for k = 1..4)
+    "almost_erlang3": (
+        (0.0, 0.07411247233827933, 0.5923636169303059, 0.9702364821905628, 0.9999923325412609),
+        (0.0, 0.5601430262908693, 0.6260314731832148, 0.05431799813001114, 1.409065753887678e-05),
+        (1.0, 1.4000000000000001, 2.5696101229340824, 5.916880983472655),
+    ),
+    "almost_erlang20": (
+        (0.0, 5.732955634107917e-06, 0.5311160410976491, 0.9999988913665947, 1.0),
+        (0.0, 0.000273494219619428, 1.7571347780122628, 1.2463053247881306e-05,
+         1.4983242261099144e-28),
+        (0.9999999999999998, 1.051282051282051, 1.1593155444259655, 1.3383845677872426),
+    ),
+    "hyper_atom": (
+        (0.8823529411764706, 0.8864327698323065, 0.8954106158349676, 0.9123307274101787,
+         0.9483670670833465),
+        (0.01384083044982699, 0.01336085060796395, 0.012304633431180287, 0.010314032069390733,
+         0.006074462696076885),
+        (1.0, 17.0, 433.49999999999994, 14738.999999999998),
+    ),
+    "sauer_chandy": (
+        (0.0, 0.37364016552118073, 0.7595991338257634, 0.9253459432496718, 0.9767321051217709),
+        (1.5999999999999999, 0.948355475266756, 0.28725252460386835, 0.033098917070762415,
+         0.005250198234484458),
+        (1.0, 5.000000000000001, 60.00000000000001, 1050.0000000000002),
+    ),
+    "cox4_atom": (
+        (0.15000000000000002, 0.27525989461573874, 0.5638759467006005, 0.8489409672424997,
+         0.9914940509153407),
+        (0.125, 0.5212743899937521, 0.3034246282384008, 0.10888739735081829,
+         0.004730403596841093),
+        (1.2666666666666666, 3.7465277777777777, 17.684027777777775, 119.8458912037037),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_values(name):
+    m = GOLDEN_MODELS[name]
+    want_cdf, want_pdf, want_moments = GOLDEN[name]
+    np.testing.assert_allclose(cdf(m, GOLDEN_TS), want_cdf, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(pdf(m, GOLDEN_TS), want_pdf, rtol=1e-13, atol=1e-13)
+    got = [moment_k(m, k) for k in range(1, 5)]
+    np.testing.assert_allclose(got, want_moments, rtol=1e-13, atol=0)
+
+
+def test_moment_k_huge_erlang_in_linear_memory():
+    n = 100_000
+    m = new_model([Branch(1.0, (float(n),) * n)])
+    tracemalloc.start()
+    try:
+        got = [moment_k(m, k) for k in range(1, 5)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Erlang-n with rate n: E[T^k] = n (n+1) ... (n+k-1) / n^k
+    want = [math.prod(range(n, n + k)) / n**k for k in range(1, 5)]
+    np.testing.assert_allclose(got, want, rtol=1e-10)
+    assert peak < 32 * 2**20
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs about a second per CLI call; only the tests need it
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, phasefit, phasefit.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
 
 def brute_force_min_second_moment(probs, lengths, mu):
     """Convex QP oracle: minimize E[T^2] s.t. the mean constraint, x >= 0."""
@@ -271,6 +379,20 @@ class TestMinSecondMoment:
     def test_degenerate_probs_rejected(self):
         with pytest.raises(DegenerateProbs):
             min_second_moment([0.0, 0.0], [1, 1], 1.0)
+
+    def test_atom_branches_add_nothing(self):
+        r = min_second_moment([0.4, 0.6], [1, 0], 1.0)
+        assert r.ratio_min == pytest.approx(1 / (0.4 * 0.5), rel=1e-14)
+        assert r.lower_bound == 2.0
+        assert r.jstar == 0
+        assert r.optimal_x[1] == ()
+
+    def test_all_mass_on_atoms_rejected(self):
+        for probs, lengths in [([1.0], [0]), ([0.5, 0.5], [0, 0]), ([1.0, 0.0], [0, 2])]:
+            with pytest.raises(DegenerateProbs):
+                min_second_moment(probs, lengths, 1.0)
+        with pytest.raises(NonPositiveInput):
+            min_second_moment([1.0], [-1], 1.0)
 
 
 def test_variance_nonnegative_random_models():

@@ -186,3 +186,45 @@ def test_pipeline_fit_sample_verify(capsys, tmp_path):
                                "-n", "100000", "--seed", "3")
         assert code == 0
         assert out.strip() == "PASS"
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (("--mean", "1.1", "--var", "19.36"),
+     ["min_second_moment_ratio=16.999999999999996", "lower_bound=2.0"]),
+    (("--mean", "1", "--var", "0.4"),
+     ["min_second_moment_ratio=1.3333333333333333", "lower_bound=1.3333333333333333"]),
+    (("--mean", "1", "--var", "4", "--family", "sauer-chandy"),
+     ["min_second_moment_ratio=2.0", "lower_bound=2.0"]),
+])
+def test_fit_bound_diagnostics(capsys, argv, lines):
+    code, _, err = run_cli(capsys, "fit", *argv)
+    assert code == 0
+    assert err.splitlines()[-2:] == lines
+
+
+def test_fit_extreme_magnitude_exits_cleanly(capsys):
+    code, out, err = run_cli(capsys, "fit", "--mean", "1e-200", "--var", "1e-300")
+    assert code in (0, 2)
+    assert (code == 0) == bool(out)
+
+
+MALFORMED_MODELS = ["{}", '{"branches": 5}', '{"branches": [{"rates": [1.0]}]}']
+MODEL_COMMANDS = [
+    ("moments", "--model"),
+    ("sample", "-n", "10", "--model"),
+    ("export", "--model"),
+    ("verify", "-n", "100", "--model"),
+    ("simulate", "--arrival-rate", "0.5", "--customers", "100", "--service"),
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_MODELS)
+@pytest.mark.parametrize("argv", MODEL_COMMANDS, ids=lambda a: a[0])
+def test_malformed_model_exits_2(capsys, tmp_path, text, argv):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert out == ""

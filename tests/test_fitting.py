@@ -22,6 +22,7 @@ from phasefit.errors import (
     InsufficientData,
     NegativeObservation,
     NonPositiveInput,
+    PhasefitError,
     POutOfRange,
 )
 
@@ -47,6 +48,12 @@ class TestMinimalStates:
             minimal_states(0.0, 1.0)
         with pytest.raises(NonPositiveInput):
             minimal_states(1.0, 0.0)
+
+    def test_refuses_more_than_max_stages(self):
+        n = fitting.MAX_STAGES
+        assert minimal_states(1.0, 1.0 / n) == n
+        with pytest.raises(DomainError, match="1e\\+12"):
+            minimal_states(1.0, 1e-12)
 
 
 class TestAlmostErlang:
@@ -142,6 +149,27 @@ class TestFitTwoMoments:
     def test_deterministic_rejected(self):
         with pytest.raises(DeterministicUnrepresentable):
             fit_two_moments(1.0, 0.0)
+
+    def test_unit_cv2_fits_an_exponential(self):
+        # the dispatch and the families must agree on which side of Cv^2 = 1
+        # a target lies, also when sigma2 / mu / mu misses 1 by an ulp
+        rng = np.random.default_rng(12)
+        for mu in 10.0 ** rng.uniform(-3, 3, size=2000):
+            fit = fit_two_moments(float(mu), 1.0 * mu * mu)
+            assert fit.family == fitting.EXPONENTIAL
+            assert fit.model.branches[0].rates == pytest.approx((1 / mu,), rel=1e-15)
+
+    @pytest.mark.parametrize("mu, sigma2", [
+        (1e-200, 1e-300), (1e200, 1e300), (1.0, 1e-12),
+        (1e-300, 1e-300), (1e-150, 1e-300), (1e150, 1e300), (1e100, 1e300),
+    ])
+    def test_extreme_targets_fit_exactly_or_refuse(self, mu, sigma2):
+        try:
+            fit = fit_two_moments(mu, sigma2)
+        except PhasefitError:
+            return
+        assert mean(fit.model) == pytest.approx(mu, rel=1e-9)
+        assert variance(fit.model) == pytest.approx(sigma2, rel=1e-9)
 
     def test_grid_exactness(self):
         for mu in GRID_MU:
