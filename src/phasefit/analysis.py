@@ -15,6 +15,7 @@ from scipy.special import gammaln, pdtrik, xlogy
 
 from .errors import (
     DegenerateProbs,
+    MomentOverflow,
     NegativeTime,
     NonPositiveInput,
     PoleEvaluation,
@@ -42,8 +43,12 @@ class MomentSummary:
                       higher: tuple[float, ...] = ()) -> "MomentSummary":
         if mean < 0.0 or variance < 0.0:
             raise NonPositiveInput("mean and variance must be nonnegative")
+        second = mean * mean + variance
+        if not math.isfinite(second):
+            raise MomentOverflow(f"second moment of mean {mean!r} and variance "
+                                 f"{variance!r} exceeds the float range")
         cv2 = variance / mean / mean if mean > 0.0 else math.inf
-        return cls(mean, variance, mean**2 + variance, cv2, higher)
+        return cls(mean, variance, second, cv2, higher)
 
 
 def laplace(model: GeneralizedCoxModel, s: complex) -> complex:
@@ -76,12 +81,28 @@ def second_moment(model: GeneralizedCoxModel) -> float:
 
 
 def variance(model: GeneralizedCoxModel) -> float:
-    return second_moment(model) - mean(model) ** 2
+    """Law of total variance: the stage variances plus the spread of the
+    branch means about the mean. Every term is at most the result, so a
+    variance within the float range is computed without overflow."""
+    try:
+        m = mean(model)
+        terms = []
+        for b in model.branches:
+            xs = [1.0 / r for r in b.rates]
+            d = math.fsum(xs) - m
+            terms.append(b.prob * d * d)
+            terms.extend(b.prob * x * x for x in xs)
+        var = math.fsum(terms)
+    except OverflowError:  # fsum refuses a sum of finite terms past the range
+        var = math.inf
+    if not math.isfinite(var):
+        raise MomentOverflow("variance exceeds the float range")
+    return var
 
 
 def summarize(model: GeneralizedCoxModel, higher_k: int = 0) -> MomentSummary:
     m1 = mean(model)
-    var = max(variance(model), 0.0)
+    var = variance(model)
     higher = tuple(moment_k(model, k) for k in range(3, higher_k + 1))
     return MomentSummary.from_mean_var(m1, var, higher)
 

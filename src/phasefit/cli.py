@@ -88,13 +88,12 @@ def cmd_sample(args) -> int:
     model = _load_model(args.model)
     if args.n == 0:
         return EXIT_OK
+    # drawn before the header, so a bad -n prints nothing
+    xs = sampling.sample_n(model, sampling.SamplerState(args.seed), args.n)
     print(f"# seed={args.seed}")
     print(f"# model={_model_hash(model)}")
     print(f"# generator={sampling.GENERATOR_NAME}")
-    xs = sampling.sample_n(model, sampling.SamplerState(args.seed), args.n)
-    out = sys.stdout
-    for x in xs:
-        print(repr(float(x)), file=out)
+    print("\n".join(map(repr, xs.tolist())))
     return EXIT_OK
 
 

@@ -55,6 +55,10 @@ class DomainError(PhasefitError):
     """Target moments fall outside the domain of the requested construction."""
 
 
+class MomentOverflow(DomainError):
+    """A mean, variance or second moment exceeds the float range."""
+
+
 class POutOfRange(PhasefitError):
     """Routing probability exceeds the feasible maximum 2/(1+Cv^2)."""
 
@@ -69,6 +73,12 @@ class InsufficientData(PhasefitError):
 
 class NegativeObservation(PhasefitError):
     """Observations must be nonnegative."""
+
+
+# --- sampling ---
+
+class NegativeCount(PhasefitError):
+    """A number of draws must be nonnegative."""
 
 
 # --- markov ---

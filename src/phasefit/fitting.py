@@ -87,13 +87,15 @@ def minimal_states(mu: float, sigma2: float) -> int:
 def almost_erlang(mu: float, sigma2: float) -> FitResult:
     """Single-branch hypoexponential: N-1 equal stage means plus one
     distinct stage, with N = ceil(mu^2/sigma^2)."""
-    if _check_targets(mu, sigma2) >= 1.0:
+    cv2 = _check_targets(mu, sigma2)
+    if cv2 >= 1.0:
         raise DomainError("almost-Erlang requires sigma^2 < mu^2")
     n = minimal_states(mu, sigma2)
     if n < 2:
         raise DomainError("ceil(mu^2/sigma^2) must be >= 2")
-    # N*sigma2 - mu^2 >= 0 up to roundoff at integral mu^2/sigma^2.
-    alpha_n = math.sqrt(max(n * sigma2 - mu * mu, 0.0)) / n
+    # sqrt(N sigma2 - mu^2) / N with mu factored out, so nothing overflows;
+    # N Cv^2 >= 1 up to roundoff at integral mu^2/sigma^2.
+    alpha_n = mu * math.sqrt(max(n * cv2 - 1.0, 0.0)) / n
     base = mu / n
     x_head = base - alpha_n / math.sqrt(n - 1)
     x_last = base + math.sqrt(n - 1) * alpha_n

@@ -13,10 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .errors import InsufficientData, NonPositiveRate
+from .errors import InsufficientData, NegativeCount, NonPositiveRate
 from .model import GeneralizedCoxModel
 
 GENERATOR_NAME = "pcg64"
+# Draws per sample_n chunk; its stage-uniform buffer holds at most CHUNK
+# times the longest branch's stage count.
+CHUNK = 1 << 16
 
 
 class SamplerState:
@@ -87,37 +90,36 @@ def sample_n(model: GeneralizedCoxModel, state: SamplerState, n: int) -> np.ndar
     Consumes n branch-selection uniforms first, then the per-stage uniforms
     grouped consecutively per draw in draw order (a block layout of the
     stream; per-draw results match the distribution of repeated sample()).
+
+    The draws are made CHUNK at a time, each chunk taking the next stage
+    uniforms of that layout, so chunking changes neither the stream, nor
+    state.counter, nor any draw; it only bounds the working memory.
     """
     if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return np.empty(0)
-    probs = np.array([b.prob for b in model.branches])
-    cum = np.cumsum(probs)
-    us = state.uniforms(n)
-    idx = np.minimum(np.searchsorted(cum, us, side="left"), len(cum) - 1)
-
+        raise NegativeCount(f"draw count must be nonnegative, got {n}")
+    cum = np.cumsum([b.prob for b in model.branches])
+    idx = np.minimum(np.searchsorted(cum, state.uniforms(n), side="left"), len(cum) - 1)
     lengths = np.array([b.length for b in model.branches])
-    max_len = int(lengths.max())
     out = np.zeros(n)
-    if max_len == 0:
-        return out
-    rate_table = np.ones((len(model.branches), max_len))
-    for j, b in enumerate(model.branches):
-        rate_table[j, : b.length] = b.rates
-
-    draw_len = lengths[idx]
-    total = int(draw_len.sum())
-    if total == 0:
-        return out
-    starts = np.concatenate(([0], np.cumsum(draw_len)[:-1]))
-    pos_branch = np.repeat(idx, draw_len)
-    pos_stage = np.arange(total) - np.repeat(starts, draw_len)
-    stage_rates = rate_table[pos_branch, pos_stage]
-    stage_times = -np.log(state.uniforms(total)) / stage_rates
-
-    nz = draw_len > 0
-    out[nz] = np.add.reduceat(stage_times, starts[nz])
+    for lo in range(0, n, CHUNK):
+        chunk_idx = idx[lo:lo + CHUNK]
+        draw_len = lengths[chunk_idx]
+        stage_times = state.uniforms(int(draw_len.sum()))
+        np.log(stage_times, out=stage_times)
+        np.negative(stage_times, out=stage_times)
+        starts = np.cumsum(draw_len) - draw_len
+        for j, b in enumerate(model.branches):
+            if b.length == 0:
+                continue
+            rows = np.flatnonzero(chunk_idx == j)
+            if rows.size == len(chunk_idx):
+                block = stage_times.reshape(rows.size, b.length)
+            else:
+                block = stage_times[starts[rows, None] + np.arange(b.length)]
+            block /= b.rates
+            # reduceat adds a0 + (a1 + ...), in partial sums from nine stages
+            # on; seeded draws depend on that order for L >= 3
+            out[lo + rows] = np.add.reduceat(block.ravel(), np.arange(0, block.size, b.length))
     return out
 
 

@@ -10,6 +10,7 @@ from scipy import integrate, optimize
 
 from phasefit import (
     Branch,
+    MomentSummary,
     cdf,
     exponential_model,
     fit_two_moments,
@@ -27,6 +28,7 @@ from phasefit import (
 )
 from phasefit.errors import (
     DegenerateProbs,
+    MomentOverflow,
     NegativeTime,
     NonPositiveInput,
     PoleEvaluation,
@@ -400,3 +402,15 @@ def test_variance_nonnegative_random_models():
     for _ in range(100):
         m = random_model(rng, allow_instant=True)
         assert variance(m) >= -1e-12
+
+
+def test_variance_beyond_squared_mean_range():
+    # mean 1.5e154: its square overflows, the variance 1.53e308 does not
+    m = new_model([Branch(1.0, (1 / 1.2e154, 1 / 0.3e154))])
+    assert variance(m) == pytest.approx(1.53e308, rel=1e-15)
+    with pytest.raises(MomentOverflow):
+        variance(new_model([Branch(1.0, (1e-160,))]))
+    with pytest.raises(MomentOverflow):
+        variance(new_model([Branch(1.0, (1e-308,) * 2)]))  # the mean overflows
+    with pytest.raises(MomentOverflow):
+        MomentSummary.from_mean_var(1.5e154, 1.0)

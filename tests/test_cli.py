@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from phasefit import model_from_json
+from phasefit import SamplerState, model_from_json, sample_n
 from phasefit.cli import main
 
 
@@ -85,6 +85,23 @@ class TestSample:
                                "--seed", "7")
         assert code == 0
         assert out == ""
+
+    def test_stdout_is_header_then_one_repr_per_draw(self, capsys, tmp_path):
+        path = _write_model(capsys, tmp_path, 1, 0.4)
+        _, out, _ = run_cli(capsys, "sample", "--model", str(path), "-n", "1000",
+                            "--seed", "7")
+        model = model_from_json(path.read_text())
+        xs = sample_n(model, SamplerState(7), 1000)
+        lines = out.split("\n")
+        assert all(line.startswith("# ") for line in lines[:3])
+        assert lines[3:] == [repr(float(x)) for x in xs] + [""]
+
+    def test_negative_n_prints_nothing(self, capsys, tmp_path):
+        path = _write_model(capsys, tmp_path, 1, 4)
+        code, out, err = run_cli(capsys, "sample", "--model", str(path), "-n", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: NegativeCount")
 
 
 class TestMoments:

@@ -79,6 +79,14 @@ class TestAlmostErlang:
             almost_erlang(3.0, 9.0)
 
 
+    def test_huge_mean_names_the_overflow(self):
+        # N sigma^2 - mu^2 was inf - inf here, which gave a nan stage rate
+        with pytest.raises(DomainError, match="second moment"):
+            almost_erlang(1.5e154, 1.5e308)
+        fit = almost_erlang(1e154, 5e307)
+        assert variance(fit.model) == pytest.approx(5e307, rel=1e-12)
+
+
 class TestSimplestHyper:
     def test_hand_values_cv2_4(self):
         fit = simplest_hyper(1.0, 4.0)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from phasefit import (
     sample_n,
     split_seeds,
 )
-from phasefit.errors import InsufficientData, NonPositiveRate
+from phasefit.errors import InsufficientData, NegativeCount, NonPositiveRate
 
 
 class TestSamplerState:
@@ -108,6 +109,10 @@ class TestSample:
             freq = float(np.mean(picks == j))
             se = math.sqrt(p * (1 - p) / n)
             assert abs(freq - p) <= 4 * se
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(NegativeCount):
+            sample_n(exponential_model(1.0), SamplerState(0), -1)
 
     def test_atom_selection_frequency(self):
         n = 1_000_000
@@ -217,3 +222,15 @@ def test_sample_n_golden_stream(name, n):
     xs = sample_n(GOLDEN_MODELS[name], state, n)
     assert xs.shape == (n,)
     assert (hashlib.sha256(xs.tobytes()).hexdigest()[:32], state.counter) == GOLDEN[name, n]
+
+
+def test_sample_n_memory_bound():
+    # the unchunked kernel held six to eight arrays of n * 20 doubles: 801 MiB
+    tracemalloc.start()
+    try:
+        xs = sample_n(GOLDEN_MODELS["almost_erlang20"], SamplerState(1), 1_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert xs.shape == (1_000_000,) and np.all(xs > 0.0)
+    assert peak < 96 * 2**20
