@@ -108,3 +108,67 @@ class TestRunMph1:
         a = run_mph1(0.6, service, n_customers=10_000, seed=5)
         b = run_mph1(0.6, service, n_customers=10_000, seed=5)
         assert a == b
+
+
+# Seeded QueueStats recorded from the heap-driven event loop. A vectorised
+# pass may move them only in the last bits of its running sums. The customer
+# counts sit below and at the 2^15-draw block size and straddle it.
+_AE3 = 4.387425886722794
+QUEUE_MODELS = {
+    "exponential": new_model([Branch(1.0, (1.5,))]),
+    "almost_erlang3": new_model([Branch(1.0, (_AE3, _AE3, 1.8377223398316203))]),
+    "hyper_atom": new_model([Branch(0.11764705882352941, (0.11764705882352941,)),
+                             Branch(0.8823529411764706, ())]),
+    "sauer_chandy": new_model([Branch(0.1127016653792583, (0.2254033307585166,)),
+                               Branch(0.8872983346207417, (1.7745966692414832,))]),
+    "mixed_0_2_11": new_model([Branch(0.2, ()), Branch(0.5, (2.0, 3.0)),
+                               Branch(0.3, tuple(1.0 + k / 4 for k in range(11)))]),
+}
+# name -> (service model, arrival rate, seed); "unstable" has rho = 1.3
+QUEUE_CONFIGS = {
+    "exponential": ("exponential", 1.05, 501),
+    "almost_erlang3": ("almost_erlang3", 0.5, 502),
+    "hyper_atom": ("hyper_atom", 0.8, 503),
+    "sauer_chandy": ("sauer_chandy", 0.9, 504),
+    "mixed_0_2_11": ("mixed_0_2_11", 0.3, 505),
+    "unstable": ("exponential", 1.95, 506),
+}
+# (name, n_customers) -> (n_served, mean_wait, mean_system_time, utilization,
+#                         se_wait, stable)
+QUEUE_GOLDEN = {
+    ("almost_erlang3", 1): (1, 0.0, 0.7802100618172018, 0.11368202771212992, 0.0, True),
+    ("almost_erlang3", 7): (7, 0.0, 0.725562754266136, 0.22647909751771184, 0.0, True),
+    ("almost_erlang3", 32768): (32768, 0.6944167047143133, 1.6927334603050588, 0.5018193942524176, 0.01926159073302563, True),
+    ("almost_erlang3", 32769): (32769, 0.6944025218593423, 1.6927237717779264, 0.5018280373128917, 0.01926159073302563, True),
+    ("exponential", 1): (1, 0.0, 0.15844795632121106, 0.20485132891974814, 0.0, True),
+    ("exponential", 7): (7, 0.008560081610550298, 0.3654368378391523, 0.3353149125611364, 0.008560081610550297, True),
+    ("exponential", 32768): (32768, 1.4470480613923384, 2.109924915180748, 0.6936222576374325, 0.07637679187952083, True),
+    ("exponential", 32769): (32769, 1.446998997273348, 2.109856623660212, 0.6936229383189584, 0.07637679187952083, True),
+    ("hyper_atom", 1): (1, 0.0, 0.0, 0.0, 0.0, True),
+    ("hyper_atom", 7): (7, 0.0, 0.05989537267227079, 0.05862951138263052, 0.0, True),
+    ("hyper_atom", 32768): (32768, 47.40093055009395, 48.416575836402636, 0.8218183186207909, 8.921781642853738, True),
+    ("hyper_atom", 32769): (32769, 47.39998906130313, 48.41559991078659, 0.8218183186207909, 8.921781642853738, True),
+    ("mixed_0_2_11", 1): (1, 0.0, 0.0, 0.0, 0.0, True),
+    ("mixed_0_2_11", 7): (7, 1.4821522725133798, 2.641863773296738, 0.24510994645623715, 0.7741943253029557, True),
+    ("mixed_0_2_11", 32768): (32768, 4.819943875350526, 6.940746425246821, 0.6357056080019341, 0.21752442481448264, True),
+    ("mixed_0_2_11", 32769): (32769, 4.819780448643329, 6.940524062577196, 0.6356736920277177, 0.21752442481448264, True),
+    ("sauer_chandy", 1): (1, 0.0, 0.7811630542440061, 0.9099912940878655, 0.0, True),
+    ("sauer_chandy", 7): (7, 0.08089568471096673, 0.7350661047892986, 0.26597041501341884, 0.08089568471096671, True),
+    ("sauer_chandy", 32768): (32768, 21.27741358669374, 22.279891445302855, 0.893325647091457, 2.467473301360069, True),
+    ("sauer_chandy", 32769): (32769, 21.27678234379612, 22.279238288341276, 0.8933266879098893, 2.467473301360069, True),
+    ("unstable", 1): (1, 0.0, 0.4552427909722309, 0.8369869374186439, 0.0, False),
+    ("unstable", 7): (7, 1.7797669992144622, 2.677199904193325, 0.9363805714155605, 0.524987589379349, False),
+    ("unstable", 32768): (32768, 2999.684008397804, 3000.350173350595, 0.99998048502993, 313.1509102272656, False),
+    ("unstable", 32769): (32769, 2999.7625221661297, 3000.4286873418687, 0.9999804856301805, 313.1509102272656, False),
+}
+
+
+@pytest.mark.parametrize("name,n", sorted(QUEUE_GOLDEN))
+@pytest.mark.filterwarnings("ignore::phasefit.errors.UnstableSystemWarning")
+def test_run_mph1_golden(name, n):
+    model, lam, seed = QUEUE_CONFIGS[name]
+    s = run_mph1(lam, QUEUE_MODELS[model], n_customers=n, seed=seed)
+    n_served, mean_wait, mean_system_time, utilization, se_wait, stable = QUEUE_GOLDEN[name, n]
+    assert (s.n_served, s.stable) == (n_served, stable)
+    assert [s.mean_wait, s.mean_system_time, s.utilization, s.se_wait] == pytest.approx(
+        [mean_wait, mean_system_time, utilization, se_wait], rel=1e-9)
