@@ -7,6 +7,7 @@ means at fixed mean and routing probabilities.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,12 +65,29 @@ def laplace(model: GeneralizedCoxModel, s: complex) -> complex:
     return total
 
 
+def _within_float_range(moment):
+    """Raise MomentOverflow where the moment passes the float range; there
+    math.fsum raises a bare OverflowError, and plain arithmetic gives inf."""
+    @functools.wraps(moment)
+    def checked(*args, **kwargs):
+        try:
+            value = moment(*args, **kwargs)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise MomentOverflow(f"{moment.__name__} exceeds the float range")
+        return value
+    return checked
+
+
+@_within_float_range
 def mean(model: GeneralizedCoxModel) -> float:
     return math.fsum(
         b.prob * math.fsum(1.0 / r for r in b.rates) for b in model.branches
     )
 
 
+@_within_float_range
 def second_moment(model: GeneralizedCoxModel) -> float:
     total = 0.0
     for b in model.branches:
@@ -80,24 +98,19 @@ def second_moment(model: GeneralizedCoxModel) -> float:
     return total
 
 
+@_within_float_range
 def variance(model: GeneralizedCoxModel) -> float:
     """Law of total variance: the stage variances plus the spread of the
     branch means about the mean. Every term is at most the result, so a
     variance within the float range is computed without overflow."""
-    try:
-        m = mean(model)
-        terms = []
-        for b in model.branches:
-            xs = [1.0 / r for r in b.rates]
-            d = math.fsum(xs) - m
-            terms.append(b.prob * d * d)
-            terms.extend(b.prob * x * x for x in xs)
-        var = math.fsum(terms)
-    except OverflowError:  # fsum refuses a sum of finite terms past the range
-        var = math.inf
-    if not math.isfinite(var):
-        raise MomentOverflow("variance exceeds the float range")
-    return var
+    m = mean(model)
+    terms = []
+    for b in model.branches:
+        xs = [1.0 / r for r in b.rates]
+        d = math.fsum(xs) - m
+        terms.append(b.prob * d * d)
+        terms.extend(b.prob * x * x for x in xs)
+    return math.fsum(terms)
 
 
 def summarize(model: GeneralizedCoxModel, higher_k: int = 0) -> MomentSummary:
@@ -119,6 +132,7 @@ def _neg_subgen_solve(rep: PhaseTypeRep, b: np.ndarray) -> np.ndarray:
     return x
 
 
+@_within_float_range
 def moment_k(model: GeneralizedCoxModel, k: int) -> float:
     """k-th raw moment, k! * alpha (-T)^{-k} 1 on the phase-type form."""
     if k < 1:

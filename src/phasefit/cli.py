@@ -99,8 +99,10 @@ def cmd_sample(args) -> int:
 
 def cmd_moments(args) -> int:
     model = _load_model(args.model)
-    for k in range(1, args.k + 1):
-        print(f"{k}\t{analysis.moment_k(model, k)!r}")
+    # all computed before printing, so a moment past the float range prints nothing
+    moments = [analysis.moment_k(model, k) for k in range(1, args.k + 1)]
+    for k, value in enumerate(moments, 1):
+        print(f"{k}\t{value!r}")
     return EXIT_OK
 
 

@@ -1,9 +1,6 @@
-"""Discrete-event timing with Generalized Cox delays.
-
-A generic event calendar (time-ordered, FIFO on ties) plus an M/PH/1 queue
-whose simulated mean wait is validated against the Pollaczek-Khinchine
-formula built from the service distribution's first two moments.
-"""
+"""Discrete-event timing with Generalized Cox delays: a generic event
+calendar (time-ordered, FIFO on ties) and an M/PH/1 queue simulated by
+Lindley's recursion, checked against the Pollaczek-Khinchine mean wait."""
 
 from __future__ import annotations
 
@@ -15,10 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, sampling
-from .analysis import MomentSummary
-from .errors import NonPositiveInput, UnstableSystem, UnstableSystemWarning
+from .errors import NegativeCount, NonPositiveInput, UnstableSystem, UnstableSystemWarning
 from .model import GeneralizedCoxModel, exponential_model
-from .sampling import SamplerState
 
 WARMUP_FRACTION = 0.1
 N_BATCHES = 20
@@ -27,7 +22,7 @@ N_BATCHES = 20
 class EventCalendar:
     """Pending events ordered by time, FIFO on equal times."""
 
-    def __init__(self, rng: SamplerState):
+    def __init__(self, rng: sampling.SamplerState):
         self.clock = 0.0
         self.rng = rng
         self._heap: list[tuple[float, int, object]] = []
@@ -45,7 +40,7 @@ class EventCalendar:
 
     def schedule_at(self, time: float, event_id) -> None:
         """Insert an event at an absolute (pre-drawn) time."""
-        if time < self.clock:
+        if not time >= self.clock:  # also refuses NaN
             raise NonPositiveInput("cannot schedule before the current clock")
         heapq.heappush(self._heap, (time, self._seq, event_id))
         self._seq += 1
@@ -67,7 +62,7 @@ class QueueStats:
     stable: bool
 
 
-def pk_mean_wait(arrival_rate: float, service_summary: MomentSummary) -> float:
+def pk_mean_wait(arrival_rate: float, service_summary: analysis.MomentSummary) -> float:
     """Pollaczek-Khinchine mean wait lambda E[S^2] / (2 (1 - rho))."""
     if arrival_rate < 0.0:
         raise NonPositiveInput("arrival rate must be nonnegative")
@@ -77,40 +72,38 @@ def pk_mean_wait(arrival_rate: float, service_summary: MomentSummary) -> float:
     return arrival_rate * service_summary.second_moment / (2.0 * (1.0 - rho))
 
 
-class _DrawBuffer:
-    """Chunked vectorized draws presented one at a time."""
-
-    def __init__(self, model: GeneralizedCoxModel, state: SamplerState,
-                 chunk: int = 1 << 15):
-        self._model = model
-        self._state = state
-        self._chunk = chunk
-        self._buf = np.empty(0)
-        self._pos = 0
-
-    def next(self) -> float:
-        if self._pos >= len(self._buf):
-            self._buf = sampling.sample_n(self._model, self._state, self._chunk)
-            self._pos = 0
-        v = self._buf[self._pos]
-        self._pos += 1
-        return float(v)
+# Draws per sample_n call. The seeded layout of a run's arrival and service
+# streams is this sequence of equal blocks, so the value fixes every result.
+DRAW_BLOCK = 1 << 15
 
 
-_ARRIVAL = "arrival"
-_DEPARTURE = "departure"
+def _draws(model: GeneralizedCoxModel, state: sampling.SamplerState, n: int) -> np.ndarray:
+    """The first n of consecutive sample_n blocks of DRAW_BLOCK draws."""
+    out = np.empty(n)
+    for lo in range(0, n, DRAW_BLOCK):
+        out[lo:lo + DRAW_BLOCK] = sampling.sample_n(model, state, DRAW_BLOCK)[:n - lo]
+    return out
+
+
+def _fifo_waits(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
+    """Waits of FIFO customers at one server, written over `arrivals`: by
+    Lindley's recursion in closed form (Lindley 1952, Proc. Camb. Phil. Soc.
+    48), with V_k = A_k - (S_0 + ... + S_{k-1}), W_k = max_{j<=k} V_j - V_k."""
+    work = np.cumsum(services)
+    arrivals[1:] -= work[:-1]
+    np.maximum.accumulate(arrivals, out=work)
+    return np.subtract(work, arrivals, out=arrivals)
 
 
 def run_mph1(arrival_rate: float, service: GeneralizedCoxModel,
-             n_customers: int = 500_000, seed: int = 0,
-             warmup_fraction: float = WARMUP_FRACTION) -> QueueStats:
-    """Single-server FIFO queue with Poisson arrivals and phase-type service.
-
-    Runs until n_customers departures; the first warmup_fraction of served
-    customers is discarded and se_wait comes from 20 batch means.
-    """
-    if arrival_rate < 0.0:
-        raise NonPositiveInput("arrival rate must be nonnegative")
+             n_customers: int = 500_000, seed: int = 0) -> QueueStats:
+    """Single-server FIFO queue with Poisson arrivals and phase-type service,
+    n_customers served in one vectorised pass; the first WARMUP_FRACTION of
+    them is discarded and se_wait comes from N_BATCHES batch means."""
+    if not (arrival_rate >= 0.0 and math.isfinite(arrival_rate)):
+        raise NonPositiveInput(f"arrival rate must be finite and nonnegative, got {arrival_rate!r}")
+    if n_customers < 0:
+        raise NegativeCount(f"customer count must be nonnegative, got {n_customers}")
     if arrival_rate == 0.0 or n_customers == 0:
         return QueueStats(0, 0.0, 0.0, 0.0, 0.0, True)
 
@@ -121,66 +114,27 @@ def run_mph1(arrival_rate: float, service: GeneralizedCoxModel,
                       UnstableSystemWarning)
 
     arr_state, svc_state = sampling.split_seeds(seed, 2)
-    interarrivals = _DrawBuffer(exponential_model(arrival_rate), arr_state)
-    services = _DrawBuffer(service, svc_state)
+    arrivals = np.cumsum(_draws(exponential_model(arrival_rate), arr_state, n_customers))
+    services = _draws(service, svc_state, n_customers)
+    last_arrival = arrivals[-1]  # _fifo_waits writes over arrivals
+    waits = _fifo_waits(arrivals, services)
+    last_departure = last_arrival + waits[-1] + services[-1]
 
-    cal = EventCalendar(svc_state)
-    cal.schedule_at(interarrivals.next(), _ARRIVAL)
-    queue: list[float] = []  # arrival times of waiting customers
-    busy_until = 0.0
-    busy_time = 0.0
-    server_busy = False
-    waits = np.empty(n_customers)
-    system_times = np.empty(n_customers)
-    served = 0
-    arrived = 0
-
-    while served < n_customers:
-        t, kind = cal.pop()
-        if kind == _ARRIVAL:
-            arrived += 1
-            queue.append(t)
-            cal.schedule_at(t + interarrivals.next(), _ARRIVAL)
-            if not server_busy:
-                server_busy = True
-                arrival_t = queue.pop(0)
-                s = services.next()
-                waits[served] = t - arrival_t
-                system_times[served] = t - arrival_t + s
-                busy_time += s
-                cal.schedule_at(t + s, _DEPARTURE)
-        else:
-            served += 1
-            if queue and served < n_customers:
-                arrival_t = queue.pop(0)
-                s = services.next()
-                waits[served] = t - arrival_t
-                system_times[served] = t - arrival_t + s
-                busy_time += s
-                cal.schedule_at(t + s, _DEPARTURE)
-            else:
-                server_busy = False  # also when stopping with queue left
-
-    # conservation: every departure was an arrival
-    assert arrived >= served and arrived - served == len(queue) + (1 if server_busy else 0)
-
-    cut = int(warmup_fraction * n_customers)
-    kept = waits[cut:n_customers]
-    kept_sys = system_times[cut:n_customers]
-    se = _batch_means_se(kept)
+    cut = int(WARMUP_FRACTION * n_customers)
+    mean_wait = float(waits[cut:].mean())
     return QueueStats(
         n_served=n_customers,
-        mean_wait=float(kept.mean()),
-        mean_system_time=float(kept_sys.mean()),
-        utilization=min(busy_time / cal.clock, 1.0) if cal.clock > 0 else 0.0,
-        se_wait=se,
+        mean_wait=mean_wait,
+        mean_system_time=mean_wait + float(services[cut:].mean()),
+        utilization=min(services.sum() / last_departure, 1.0) if last_departure > 0 else 0.0,
+        se_wait=_batch_means_se(waits[cut:]),
         stable=stable,
     )
 
 
-def _batch_means_se(xs: np.ndarray, n_batches: int = N_BATCHES) -> float:
-    if len(xs) < n_batches * 2:
+def _batch_means_se(xs: np.ndarray) -> float:
+    if len(xs) < N_BATCHES * 2:
         return float(xs.std(ddof=1) / math.sqrt(len(xs))) if len(xs) > 1 else 0.0
-    usable = len(xs) - len(xs) % n_batches
-    means = xs[:usable].reshape(n_batches, -1).mean(axis=1)
-    return float(means.std(ddof=1) / math.sqrt(n_batches))
+    usable = len(xs) - len(xs) % N_BATCHES
+    means = xs[:usable].reshape(N_BATCHES, -1).mean(axis=1)
+    return float(means.std(ddof=1) / math.sqrt(N_BATCHES))

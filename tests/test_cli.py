@@ -245,3 +245,29 @@ def test_malformed_model_exits_2(capsys, tmp_path, text, argv):
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert out == ""
+
+
+# 1e-308 rates: the mean passes the float range; 1e-160: only the second moment
+OVERFLOW_MODEL = {"branches": [{"prob": 1.0, "rates": [1e-308, 1e-308]}]}
+OVERFLOW_COMMANDS = [
+    ("moments", "-k", "2", "--model"),
+    ("verify", "-n", "100", "--model"),
+    ("simulate", "--arrival-rate", "0.5", "--customers", "100", "--service"),
+]
+
+
+@pytest.mark.parametrize("argv", OVERFLOW_COMMANDS, ids=lambda a: a[0])
+def test_moment_overflow_exits_2(capsys, tmp_path, argv):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(OVERFLOW_MODEL))
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: MomentOverflow")
+
+
+def test_moments_print_nothing_when_a_higher_moment_overflows(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"branches": [{"prob": 1.0, "rates": [1e-160]}]}))
+    code, out, err = run_cli(capsys, "moments", "--model", str(path), "-k", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: MomentOverflow: moment_k")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,14 @@ from phasefit import (
     sample,
     summarize,
 )
-from phasefit.errors import UnstableSystem, UnstableSystemWarning
+from phasefit.des import WARMUP_FRACTION, _draws, _fifo_waits
+from phasefit.errors import (
+    NegativeCount,
+    NonPositiveInput,
+    UnstableSystem,
+    UnstableSystemWarning,
+)
+from phasefit.sampling import split_seeds
 
 
 class TestEventCalendar:
@@ -42,6 +50,12 @@ class TestEventCalendar:
             t, _ = cal.pop()
             assert t >= prev
             prev = t
+
+    def test_nan_time_rejected(self):
+        cal = EventCalendar(SamplerState(0))
+        with pytest.raises(NonPositiveInput):
+            cal.schedule_at(math.nan, "a")
+        assert len(cal) == 0 and cal.clock == 0.0
 
     def test_schedule_reproduces_sampler_sequence(self):
         m = exponential_model(2.0)
@@ -102,6 +116,17 @@ class TestRunMph1:
             stats = run_mph1(3.0, exponential_model(2.0), n_customers=5_000, seed=4)
         assert not stats.stable
         assert stats.n_served == 5_000
+
+    def test_negative_customer_count(self):
+        with pytest.raises(NegativeCount):
+            run_mph1(0.5, exponential_model(1.0), n_customers=-1)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0])
+    def test_bad_arrival_rate_refused_before_any_warning(self, rate):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonPositiveInput):
+                run_mph1(rate, exponential_model(1.0), n_customers=10)
 
     def test_deterministic_given_seed(self):
         service = fit_two_moments(0.5, 0.1).model
@@ -172,3 +197,26 @@ def test_run_mph1_golden(name, n):
     assert (s.n_served, s.stable) == (n_served, stable)
     assert [s.mean_wait, s.mean_system_time, s.utilization, s.se_wait] == pytest.approx(
         [mean_wait, mean_system_time, utilization, se_wait], rel=1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(QUEUE_CONFIGS))
+@pytest.mark.filterwarnings("ignore::phasefit.errors.UnstableSystemWarning")
+def test_lindley_waits_match_scalar_fifo(name):
+    # a scalar FIFO server on run_mph1's own draws: D_k = max(A_k, D_{k-1}) + S_k
+    model, lam, seed = QUEUE_CONFIGS[name]
+    n = 10_000
+    arr_state, svc_state = split_seeds(seed, 2)
+    arrivals = np.cumsum(_draws(exponential_model(lam), arr_state, n))
+    services = _draws(QUEUE_MODELS[model], svc_state, n)
+    oracle = np.empty(n)
+    departure = 0.0
+    for k in range(n):
+        start = max(arrivals[k], departure)
+        oracle[k] = start - arrivals[k]
+        departure = start + services[k]
+    waits = _fifo_waits(arrivals.copy(), services)
+    assert np.max(np.abs(waits - oracle)) <= 1e-9 * departure
+    cut = int(WARMUP_FRACTION * n)
+    stats = run_mph1(lam, QUEUE_MODELS[model], n_customers=n, seed=seed)
+    assert stats.mean_wait == pytest.approx(oracle[cut:].mean(), rel=1e-9)
+    assert stats.utilization == pytest.approx(services.sum() / departure, rel=1e-12)
