@@ -53,8 +53,6 @@ from .sampling import (
     EmpiricalReport,
     SamplerState,
     empirical_check,
-    sample,
-    sample_exponential,
     sample_n,
     split_seeds,
 )

@@ -212,8 +212,8 @@ def min_second_moment(probs, lengths, mu: float) -> MinSecondMomentReport:
     """
     probs = [float(p) for p in probs]
     lengths = [int(L) for L in lengths]
-    if mu <= 0.0:
-        raise NonPositiveInput("mu must be positive")
+    if not (mu > 0.0 and math.isfinite(mu)):
+        raise NonPositiveInput(f"mu must be positive and finite, got {mu!r}")
     if len(probs) != len(lengths) or not probs:
         raise NonPositiveInput("need one length per probability")
     if any(L < 0 for L in lengths):

@@ -34,7 +34,7 @@ class EventCalendar:
     def schedule(self, model: GeneralizedCoxModel, event_id) -> float:
         """Draw a delay from the model and insert the event; returns the
         absolute firing time."""
-        t = self.clock + sampling.sample(model, self.rng)
+        t = self.clock + float(sampling.sample_n(model, self.rng, 1)[0])
         self.schedule_at(t, event_id)
         return t
 
@@ -64,8 +64,8 @@ class QueueStats:
 
 def pk_mean_wait(arrival_rate: float, service_summary: analysis.MomentSummary) -> float:
     """Pollaczek-Khinchine mean wait lambda E[S^2] / (2 (1 - rho))."""
-    if arrival_rate < 0.0:
-        raise NonPositiveInput("arrival rate must be nonnegative")
+    if not (arrival_rate >= 0.0 and math.isfinite(arrival_rate)):
+        raise NonPositiveInput(f"arrival rate must be finite and nonnegative, got {arrival_rate!r}")
     rho = arrival_rate * service_summary.mean
     if rho >= 1.0:
         raise UnstableSystem(f"rho = {rho} >= 1")

@@ -20,7 +20,8 @@ class NonPositiveRate(PhasefitError):
 
 
 class MalformedModel(PhasefitError):
-    """Model data does not follow the JSON interchange format."""
+    """Model or CTMC data is unreadable, lacks a field, or breaks a rule of
+    its format (CTMC shapes, row sums, signs, absorbing row, initial sum)."""
 
 
 class UnsupportedShape(PhasefitError):

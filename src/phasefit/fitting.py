@@ -1,10 +1,10 @@
 """Minimal-topology two-moment matching.
 
 Dispatch: variance below the squared mean gives the almost-Erlang
-hypoexponential with N = ceil(mu^2/sigma^2) stages; above it gives the
-one-state hyperexponential with an atom at zero; equality collapses to a
-single exponential. The Sauer-Chandy two-state hyperexponential is kept as
-a comparison baseline.
+hypoexponential with N = ceil(mu^2/sigma^2) stages; above it, the one-state
+hyperexponential with an atom at zero, the p = 2/(1+Cv^2) limit of the
+two-branch family; equality, a single exponential. The Sauer-Chandy
+two-state hyperexponential is kept as a comparison baseline.
 """
 
 from __future__ import annotations
@@ -105,40 +105,47 @@ def almost_erlang(mu: float, sigma2: float) -> FitResult:
     return _result(model, family, mu, sigma2, alpha_n)
 
 
+def _two_branch(mu: float, cv2: float, p: float) -> tuple[GeneralizedCoxModel, float]:
+    """Two-branch hyperexponential (Cv^2 >= 1) and its alpha = sqrt(p (1-p)
+    (Cv^2-1)/2): stage means mu (1 + alpha/p) and mu (1 - alpha/(1-p)). At
+    p_max = 2/(1+Cv^2), or up to 1e-15 above it, p is clamped to p_max: first
+    mean mu (1+Cv^2)/2, second branch the atom at zero."""
+    p_max = 2.0 / (1.0 + cv2)
+    if not (0.0 < p <= p_max + 1e-15):
+        raise POutOfRange(f"p={p} outside (0, {p_max}]")
+    p = min(p, p_max)
+    alpha = math.sqrt(p * (1.0 - p) * (cv2 - 1.0) / 2.0)
+    if p == p_max:
+        x1, x2 = mu * (cv2 + 1.0) / 2.0, 0.0
+    else:
+        x1, x2 = mu * (1.0 + alpha / p), mu * (1.0 - alpha / (1.0 - p))
+    branches = [Branch(p, (1.0 / x1,))]
+    if x2 > 1e-15 * mu:
+        branches.append(Branch(1.0 - p, (1.0 / x2,)))
+    elif p < 1.0:
+        branches.append(Branch(1.0 - p, ()))
+    return new_model(branches), alpha
+
+
 def simplest_hyper(mu: float, sigma2: float) -> FitResult:
-    """One exponential state with probability p = 2/(1+Cv^2) plus an atom
-    at zero; the minimal topology for Cv >= 1."""
+    """One exponential state plus an atom at zero: the p = 2/(1+Cv^2) limit
+    of hyper_family, and the minimal topology for Cv >= 1."""
     cv2 = _check_targets(mu, sigma2)
     if cv2 < 1.0:
         raise DomainError("simplest hyperexponential requires sigma^2 >= mu^2")
     p = 2.0 / (1.0 + cv2)
-    x1 = mu * (cv2 + 1.0) / 2.0
-    branches = [Branch(p, (1.0 / x1,))]
-    if p < 1.0:
-        branches.append(Branch(1.0 - p, ()))
-    model = new_model(branches)
+    model, _ = _two_branch(mu, cv2, p)
     family = EXPONENTIAL if p == 1.0 else SIMPLEST_HYPER
     return _result(model, family, mu, sigma2, p)
 
 
 def hyper_family(mu: float, sigma2: float, p: float) -> FitResult:
     """Two-branch hyperexponential with caller-chosen routing probability
-    0 < p <= 2/(1+Cv^2); at the upper limit the second stage mean hits 0."""
+    0 < p <= 2/(1+Cv^2); at the upper limit it is simplest_hyper's model."""
     cv2 = _check_targets(mu, sigma2)
     if cv2 <= 1.0:
         raise DomainError("hyperexponential family requires sigma^2 > mu^2")
-    p_max = 2.0 / (1.0 + cv2)
-    if not (0.0 < p <= p_max + 1e-15):
-        raise POutOfRange(f"p={p} outside (0, {p_max}]")
-    alpha = math.sqrt(p * (1.0 - p) * (cv2 - 1.0) / 2.0)
-    x1 = mu * (1.0 + alpha / p)
-    x2 = mu * (1.0 - alpha / (1.0 - p)) if p < 1.0 else 0.0
-    branches = [Branch(p, (1.0 / x1,))]
-    if x2 > 1e-15 * mu:
-        branches.append(Branch(1.0 - p, (1.0 / x2,)))
-    elif p < 1.0:
-        branches.append(Branch(1.0 - p, ()))
-    model = new_model(branches)
+    model, alpha = _two_branch(mu, cv2, p)
     return _result(model, HYPER_FAMILY, mu, sigma2, alpha)
 
 
@@ -172,13 +179,14 @@ def erlang_approximation(mu: float, n: int) -> FitResult:
 
 def sauer_chandy(mu: float, sigma2: float) -> FitResult:
     """Sauer-Chandy two-state hyperexponential baseline (Cv > 1 branch):
-    p = (Cv^2+1 - sqrt(Cv^4-1)) / (2 (Cv^2+1)), stage means mu/(2p) and
-    mu/(2(1-p))."""
+    p = 1/d, d = Cv^2+1 + sqrt(Cv^4-1) (the published (Cv^2+1 - sqrt(Cv^4-1))
+    / (2 (Cv^2+1)) without its cancellation), stage means mu/(2p), mu/(2(1-p))."""
     cv2 = _check_targets(mu, sigma2)
     if cv2 <= 1.0:
         raise DomainError("Sauer-Chandy baseline requires sigma^2 > mu^2")
-    p = (cv2 + 1.0 - math.sqrt(cv2 * cv2 - 1.0)) / (2.0 * (cv2 + 1.0))
-    x1 = mu / (2.0 * p)
+    d = cv2 + 1.0 + math.sqrt(cv2 - 1.0) * math.sqrt(cv2 + 1.0)
+    p = 1.0 / d
+    x1 = mu * d / 2.0
     x2 = mu / (2.0 * (1.0 - p))
     model = new_model([Branch(p, (1.0 / x1,)), Branch(1.0 - p, (1.0 / x2,))])
     return _result(model, SAUER_CHANDY, mu, sigma2, p)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveInput, NonPositiveRate, ReducibleChain
+from .errors import MalformedModel, NonPositiveInput, NonPositiveRate, ReducibleChain
 from .model import GeneralizedCoxModel, to_phase_type
 
 ROW_SUM_TOL = 1e-12
@@ -35,17 +35,17 @@ class CtmcExport:
         object.__setattr__(self, "initial", init)
         n = len(self.labels)
         if gen.shape != (n, n) or init.shape != (n,):
-            raise NonPositiveInput("generator/initial shapes must match labels")
+            raise MalformedModel("generator/initial shapes must match labels")
         if np.max(np.abs(gen.sum(axis=1))) > ROW_SUM_TOL:
-            raise NonPositiveInput("generator rows must sum to 0")
+            raise MalformedModel("generator rows must sum to 0")
         off = gen - np.diag(np.diag(gen))
         if np.min(off) < 0.0:
-            raise NonPositiveInput("off-diagonal rates must be nonnegative")
+            raise MalformedModel("off-diagonal rates must be nonnegative")
         zero_rows = np.nonzero(np.all(gen == 0.0, axis=1))[0]
         if len(zero_rows) != 1 or zero_rows[0] != self.absorbing_index:
-            raise NonPositiveInput("exactly one absorbing (zero) row is required")
+            raise MalformedModel("exactly one absorbing (zero) row is required")
         if abs(init.sum() - 1.0) > 1e-9:
-            raise NonPositiveInput("initial distribution must sum to 1")
+            raise MalformedModel("initial distribution must sum to 1")
 
     @property
     def n_states(self) -> int:
@@ -144,13 +144,14 @@ def export_json(ctmc: CtmcExport) -> str:
 
 
 def parse_ctmc_json(text: str) -> CtmcExport:
-    data = json.loads(text)
-    return CtmcExport(
-        tuple(data["labels"]),
-        np.array(data["generator"], dtype=float),
-        np.array(data["initial"], dtype=float),
-        int(data["absorbing"]),
-    )
+    """Chain from export_json's format; other data raises MalformedModel."""
+    try:
+        data = json.loads(text)
+        fields = (tuple(data["labels"]), np.array(data["generator"], dtype=float),
+                  np.array(data["initial"], dtype=float), int(data["absorbing"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedModel(f"malformed CTMC data: {type(exc).__name__}: {exc}") from exc
+    return CtmcExport(*fields)
 
 
 def export_dot(ctmc: CtmcExport) -> str:

@@ -2,7 +2,7 @@
 
 Inverse transform: pick a branch with one uniform, then sum one exponential
 per stage, each -ln(U)/lambda with U drawn from (0, 1] so the logarithm is
-always finite.
+always finite. sample_n is the one sampler; a single draw is sample_n(., 1).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .errors import InsufficientData, NegativeCount, NonPositiveRate
+from .errors import InsufficientData, NegativeCount
 from .model import GeneralizedCoxModel
 
 GENERATOR_NAME = "pcg64"
@@ -34,19 +34,10 @@ class SamplerState:
         self.counter = 0
         self._rng = np.random.Generator(np.random.PCG64(self.seed))
 
-    def uniform(self) -> float:
-        """One uniform on (0, 1]."""
-        self.counter += 1
-        return 1.0 - self._rng.random()
-
     def uniforms(self, n: int) -> np.ndarray:
         """n uniforms on (0, 1]."""
         self.counter += n
         return 1.0 - self._rng.random(n)
-
-    @property
-    def generator_name(self) -> str:
-        return GENERATOR_NAME
 
 
 def split_seeds(seed: int, n: int) -> list[SamplerState]:
@@ -55,41 +46,11 @@ def split_seeds(seed: int, n: int) -> list[SamplerState]:
     return [SamplerState(int(c.generate_state(1, np.uint64)[0])) for c in children]
 
 
-def sample_exponential(state: SamplerState, rate: float) -> float:
-    """-ln(U)/rate with U on (0, 1]."""
-    if rate <= 0.0:
-        raise NonPositiveRate(f"rate must be positive, got {rate}")
-    return -math.log(state.uniform()) / rate
-
-
-def _pick_branch(model: GeneralizedCoxModel, u: float) -> int:
-    acc = 0.0
-    last = len(model.branches) - 1
-    for j, b in enumerate(model.branches):
-        acc += b.prob
-        if u <= acc:
-            return j
-    return last
-
-
-def sample(model: GeneralizedCoxModel, state: SamplerState) -> float:
-    """One draw: branch-selection uniform, then one uniform per stage."""
-    j = _pick_branch(model, state.uniform())
-    branch = model.branches[j]
-    if branch.instantaneous:
-        return 0.0
-    t = 0.0
-    for rate in branch.rates:
-        t += -math.log(state.uniform()) / rate
-    return t
-
-
 def sample_n(model: GeneralizedCoxModel, state: SamplerState, n: int) -> np.ndarray:
     """n draws, vectorized.
 
     Consumes n branch-selection uniforms first, then the per-stage uniforms
-    grouped consecutively per draw in draw order (a block layout of the
-    stream; per-draw results match the distribution of repeated sample()).
+    of each draw consecutively, in draw order.
 
     The draws are made CHUNK at a time, each chunk taking the next stage
     uniforms of that layout, so chunking changes neither the stream, nor
@@ -150,6 +111,9 @@ def empirical_check(model: GeneralizedCoxModel, n: int, seed: int,
     threshold."""
     if n < 2:
         raise InsufficientData("empirical check needs n >= 2")
+    # the targets first: a model whose moments overflow is refused undrawn
+    a_mean = analysis.mean(model) if expected_mean is None else expected_mean
+    a_var = analysis.variance(model) if expected_variance is None else expected_variance
     xs = sample_n(model, SamplerState(seed), n)
     m = float(xs.mean())
     s2 = float(xs.var(ddof=1))
@@ -157,8 +121,6 @@ def empirical_check(model: GeneralizedCoxModel, n: int, seed: int,
     m4 = float(np.mean(centered**4))
     se_mean = math.sqrt(s2 / n)
     se_var = math.sqrt(max(m4 - s2 * s2, 0.0) / n)
-    a_mean = analysis.mean(model) if expected_mean is None else expected_mean
-    a_var = analysis.variance(model) if expected_variance is None else expected_variance
     return EmpiricalReport(
         n=n,
         sample_mean=m,

@@ -382,6 +382,11 @@ class TestMinSecondMoment:
         with pytest.raises(DegenerateProbs):
             min_second_moment([0.0, 0.0], [1, 1], 1.0)
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, 0.0, -1.0])
+    def test_nonpositive_or_nonfinite_mu_rejected(self, mu):
+        with pytest.raises(NonPositiveInput):
+            min_second_moment([0.5, 0.5], [1, 2], mu)
+
     def test_atom_branches_add_nothing(self):
         r = min_second_moment([0.4, 0.6], [1, 0], 1.0)
         assert r.ratio_min == pytest.approx(1 / (0.4 * 0.5), rel=1e-14)

@@ -265,6 +265,15 @@ def test_moment_overflow_exits_2(capsys, tmp_path, argv):
     assert err.startswith("error: MomentOverflow")
 
 
+@pytest.mark.filterwarnings("error")
+def test_verify_refuses_overflow_before_drawing(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(OVERFLOW_MODEL))
+    code, out, err = run_cli(capsys, "verify", "--model", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: MomentOverflow")
+
+
 def test_moments_print_nothing_when_a_higher_moment_overflows(capsys, tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"branches": [{"prob": 1.0, "rates": [1e-160]}]}))

@@ -14,7 +14,7 @@ from phasefit import (
     new_model,
     pk_mean_wait,
     run_mph1,
-    sample,
+    sample_n,
     summarize,
 )
 from phasefit.des import WARMUP_FRACTION, _draws, _fifo_waits
@@ -62,8 +62,9 @@ class TestEventCalendar:
         cal = EventCalendar(SamplerState(42))
         times = [cal.schedule(m, i) for i in range(10)]
         ref_state = SamplerState(42)
-        expected = [sample(m, ref_state) for _ in range(10)]
-        assert times == pytest.approx(expected)
+        expected = [sample_n(m, ref_state, 1)[0] for _ in range(10)]
+        assert times == expected
+        assert cal.rng.counter == ref_state.counter == 20
 
 
 class TestPkMeanWait:
@@ -83,6 +84,12 @@ class TestPkMeanWait:
         s = MomentSummary.from_mean_var(1.0, 1.0)
         with pytest.raises(UnstableSystem):
             pk_mean_wait(1.0, s)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0])
+    def test_nan_inf_negative_arrival_rate_rejected(self, rate):
+        for s in (MomentSummary.from_mean_var(0.5, 0.25), MomentSummary.from_mean_var(0.0, 0.0)):
+            with pytest.raises(NonPositiveInput):
+                pk_mean_wait(rate, s)
 
 
 class TestRunMph1:

@@ -116,9 +116,13 @@ class TestSimplestHyper:
 
 class TestHyperFamily:
     def test_boundary_matches_simplest(self):
-        a = hyper_family(1.0, 4.0, 0.4)
-        b = simplest_hyper(1.0, 4.0)
-        assert a.model == b.model
+        # the last target once gave a second stage of rate 7.4e13, not the atom
+        for mu, sigma2 in [(1.0, 1.1), (1.0, 2.0), (1.0, 4.0), (1.0, 100.0),
+                           (0.10371022586584734, 0.010765329385693809)]:
+            a = hyper_family(mu, sigma2, 2.0 / (1.0 + sigma2 / mu / mu))
+            b = simplest_hyper(mu, sigma2)
+            assert a.model == b.model, (mu, sigma2)
+            assert a.n_transient == 1 and a.model.atom_weight > 0.0
 
     def test_interior_hand_values(self):
         fit = hyper_family(1.0, 4.0, 0.2)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,8 @@ from phasefit import (
     new_model,
     parse_ctmc_json,
 )
-from phasefit.errors import NonPositiveRate, ReducibleChain
+from phasefit.errors import MalformedModel, NonPositiveRate, ReducibleChain
+from phasefit.markov import CtmcExport
 from tests.test_analysis import random_model
 
 
@@ -120,8 +123,6 @@ class TestAbsorptionMoments:
         assert absorption_time_moments(c, 2) == pytest.approx(5.0, rel=1e-10)
 
     def test_reducible_chain_detected(self):
-        from phasefit.markov import CtmcExport
-
         # two transient states cycling between each other, E unreachable
         gen = np.array([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
         c = CtmcExport(("A", "B", "E"), gen, np.array([1.0, 0.0, 0.0]), 2)
@@ -149,3 +150,34 @@ class TestSerialization:
         dot = export_dot(exact_absorbing_ctmc(m))
         assert dot.count("->") == 3
         assert "B1.S3" in dot
+
+
+@pytest.mark.parametrize("text", ['{}', '[1]', 'nope', '{"labels": ["A"]}',
+                                  '{"labels": ["A", "E"], "generator": [[-1, 1], [0, 0]], '
+                                  '"initial": [1, 0], "absorbing": "last"}',
+                                  '{"labels": ["A"], "generator": [[0], [1, 2]], '
+                                  '"initial": [1], "absorbing": 0}'],
+                         ids=["empty_object", "list", "not_json", "missing_fields",
+                              "absorbing_not_int", "ragged_generator"])
+def test_unreadable_ctmc_json_is_malformed(text):
+    with pytest.raises(MalformedModel):
+        parse_ctmc_json(text)
+
+
+_E2 = [[-2.0, 2.0, 0.0], [0.0, -2.0, 2.0], [0.0, 0.0, 0.0]]
+
+
+@pytest.mark.parametrize("labels,gen,init,absorbing", [
+    (("A", "E"), _E2, [1.0, 0.0, 0.0], 2),
+    (("A", "B", "E"), [[-2.0, 1.0, 0.0]] + _E2[1:], [1.0, 0.0, 0.0], 2),
+    (("A", "B", "E"), [[1.0, -1.0, 0.0]] + _E2[1:], [1.0, 0.0, 0.0], 2),
+    (("A", "B", "E"), _E2, [1.0, 0.0, 0.0], 1),
+    (("A", "B", "E"), _E2, [0.5, 0.0, 0.0], 2),
+], ids=["shape", "row_sum", "sign", "absorbing_row", "initial_sum"])
+def test_invalid_ctmc_is_malformed(labels, gen, init, absorbing):
+    with pytest.raises(MalformedModel):
+        CtmcExport(labels, np.array(gen), np.array(init), absorbing)
+    text = json.dumps({"labels": list(labels), "generator": gen, "initial": init,
+                       "absorbing": absorbing})
+    with pytest.raises(MalformedModel):
+        parse_ctmc_json(text)

@@ -14,12 +14,10 @@ from phasefit import (
     exponential_model,
     fit_two_moments,
     new_model,
-    sample,
-    sample_exponential,
     sample_n,
     split_seeds,
 )
-from phasefit.errors import InsufficientData, NegativeCount, NonPositiveRate
+from phasefit.errors import InsufficientData, MomentOverflow, NegativeCount, NonPositiveRate
 
 
 class TestSamplerState:
@@ -34,7 +32,7 @@ class TestSamplerState:
 
     def test_counter_tracks_draws(self):
         s = SamplerState(0)
-        s.uniform()
+        s.uniforms(1)
         s.uniforms(10)
         assert s.counter == 11
 
@@ -44,45 +42,49 @@ class TestSamplerState:
         assert len(set(streams)) == 4
 
 
+def _fixed_uniforms(u: float) -> SamplerState:
+    class Fixed(SamplerState):
+        def uniforms(self, n):
+            self.counter += n
+            return np.full(n, u)
+
+    return Fixed(0)
+
+
 class TestSampleExponential:
     def test_inverse_transform_value(self):
         # U = e^{-1} at rate 2 gives exactly 0.5
-        class Fixed(SamplerState):
-            def uniform(self):
-                return math.exp(-1)
-
-        assert sample_exponential(Fixed(0), 2.0) == pytest.approx(0.5)
+        xs = sample_n(exponential_model(2.0), _fixed_uniforms(math.exp(-1)), 3)
+        assert xs.tolist() == pytest.approx([0.5] * 3)
 
     def test_u_one_gives_zero(self):
-        class Fixed(SamplerState):
-            def uniform(self):
-                return 1.0
-
-        assert sample_exponential(Fixed(0), 2.0) == 0.0
+        xs = sample_n(exponential_model(2.0), _fixed_uniforms(1.0), 3)
+        assert xs.tolist() == [0.0] * 3
 
     def test_clt_mean(self):
-        s = SamplerState(11)
-        xs = np.array([sample_exponential(s, 3.0) for _ in range(100_000)])
+        xs = sample_n(exponential_model(3.0), SamplerState(11), 100_000)
         assert abs(xs.mean() - 1 / 3) <= 4 * (1 / 3) / math.sqrt(100_000)
 
     def test_nonpositive_rate(self):
         with pytest.raises(NonPositiveRate):
-            sample_exponential(SamplerState(0), 0.0)
+            Branch(1.0, (0.0,))
 
 
 class TestSample:
     def test_instantaneous_model_always_zero(self):
-        m = new_model([Branch(1.0, ())])
         s = SamplerState(1)
-        assert all(sample(m, s) == 0.0 for _ in range(100))
+        xs = sample_n(new_model([Branch(1.0, ())]), s, 100)
+        assert xs.tolist() == [0.0] * 100 and s.counter == 100
 
     def test_all_draws_nonnegative_and_zero_iff_instantaneous(self):
         m = new_model([Branch(0.4, (0.4,)), Branch(0.6, ())])
-        s = SamplerState(2)
-        xs = [sample(m, s) for _ in range(10_000)]
-        assert all(x >= 0.0 for x in xs)
-        zeros = sum(1 for x in xs if x == 0.0)
-        assert 0 < zeros < len(xs)
+        n = 10_000
+        xs = sample_n(m, SamplerState(2), n)
+        # the branch uniforms come first: u > 0.4 picks the atom
+        atom = SamplerState(2).uniforms(n) > 0.4
+        assert np.all(xs >= 0.0)
+        assert np.array_equal(xs == 0.0, atom)
+        assert 0 < atom.sum() < n
 
     def test_erlang2_empirical_moments(self):
         m = new_model([Branch(1.0, (2.0, 2.0))])
@@ -97,18 +99,19 @@ class TestSample:
         assert xs.tolist() == ys.tolist()
 
     def test_branch_frequencies(self):
-        from phasefit.sampling import _pick_branch
-
+        # branches of 0, 1 and 3 stages: the zeros count the first, and the
+        # stage uniforms used (counter - n = n1 + 3 n3) split the other two
         probs = [0.2, 0.5, 0.3]
-        m = new_model([Branch(p, (1.0,)) for p in probs])
+        m = new_model([Branch(0.2, ()), Branch(0.5, (1.0,)), Branch(0.3, (1.0, 2.0, 3.0))])
         n = 1_000_000
         s = SamplerState(5)
-        us = s.uniforms(n)
-        picks = np.array([_pick_branch(m, u) for u in us])
-        for j, p in enumerate(probs):
-            freq = float(np.mean(picks == j))
+        xs = sample_n(m, s, n)
+        n0 = int(np.sum(xs == 0.0))
+        n3, rest = divmod(s.counter - n - (n - n0), 2)
+        assert rest == 0
+        for count, p in zip((n0, n - n0 - n3, n3), probs):
             se = math.sqrt(p * (1 - p) / n)
-            assert abs(freq - p) <= 4 * se
+            assert abs(count / n - p) <= 4 * se
 
     def test_negative_count_rejected(self):
         with pytest.raises(NegativeCount):
@@ -146,6 +149,12 @@ class TestEmpiricalCheck:
     def test_small_n_rejected(self):
         with pytest.raises(InsufficientData):
             empirical_check(exponential_model(1.0), 1, seed=0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_moments_refused_before_drawing(self):
+        m = new_model([Branch(1.0, (1e-308, 1e-308))])
+        with pytest.raises(MomentOverflow):
+            empirical_check(m, 1_000_000, seed=0)
 
 
 def test_ks_continuous_part():
