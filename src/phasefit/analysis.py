@@ -37,11 +37,9 @@ class MomentSummary:
     variance: float
     second_moment: float
     cv2: float
-    higher: tuple[float, ...] = ()
 
     @classmethod
-    def from_mean_var(cls, mean: float, variance: float,
-                      higher: tuple[float, ...] = ()) -> "MomentSummary":
+    def from_mean_var(cls, mean: float, variance: float) -> "MomentSummary":
         if mean < 0.0 or variance < 0.0:
             raise NonPositiveInput("mean and variance must be nonnegative")
         second = mean * mean + variance
@@ -49,7 +47,7 @@ class MomentSummary:
             raise MomentOverflow(f"second moment of mean {mean!r} and variance "
                                  f"{variance!r} exceeds the float range")
         cv2 = variance / mean / mean if mean > 0.0 else math.inf
-        return cls(mean, variance, second, cv2, higher)
+        return cls(mean, variance, second, cv2)
 
 
 def laplace(model: GeneralizedCoxModel, s: complex) -> complex:
@@ -87,15 +85,9 @@ def mean(model: GeneralizedCoxModel) -> float:
     )
 
 
-@_within_float_range
 def second_moment(model: GeneralizedCoxModel) -> float:
-    total = 0.0
-    for b in model.branches:
-        xs = [1.0 / r for r in b.rates]
-        sx = math.fsum(xs)
-        # p multiplies first: a huge stage mean behind a tiny p stays finite
-        total += b.prob * sx * sx + math.fsum(b.prob * x * x for x in xs)
-    return total
+    """E[T^2] = mean^2 + variance, as summarize gives it."""
+    return summarize(model).second_moment
 
 
 @_within_float_range
@@ -113,11 +105,8 @@ def variance(model: GeneralizedCoxModel) -> float:
     return math.fsum(terms)
 
 
-def summarize(model: GeneralizedCoxModel, higher_k: int = 0) -> MomentSummary:
-    m1 = mean(model)
-    var = variance(model)
-    higher = tuple(moment_k(model, k) for k in range(3, higher_k + 1))
-    return MomentSummary.from_mean_var(m1, var, higher)
+def summarize(model: GeneralizedCoxModel) -> MomentSummary:
+    return MomentSummary.from_mean_var(mean(model), variance(model))
 
 
 def _neg_subgen_solve(rep: PhaseTypeRep, b: np.ndarray) -> np.ndarray:
@@ -139,9 +128,10 @@ def moment_k(model: GeneralizedCoxModel, k: int) -> float:
         raise NonPositiveInput("moment order must be >= 1")
     rep = to_phase_type(model)
     v = np.ones(rep.n)
-    for _ in range(k):
-        v = _neg_subgen_solve(rep, v)
-    return float(math.factorial(k) * rep.alpha @ v)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: MomentOverflow
+        for _ in range(k):
+            v = _neg_subgen_solve(rep, v)
+        return float(math.factorial(k) * rep.alpha @ v)
 
 
 def _uniformized_apply(rep: PhaseTypeRep, t, v: np.ndarray):

@@ -4,7 +4,8 @@ Dispatch: variance below the squared mean gives the almost-Erlang
 hypoexponential with N = ceil(mu^2/sigma^2) stages; above it, the one-state
 hyperexponential with an atom at zero, the p = 2/(1+Cv^2) limit of the
 two-branch family; equality, a single exponential. The Sauer-Chandy
-two-state hyperexponential is kept as a comparison baseline.
+two-state hyperexponential is kept as a comparison baseline. Every fit is
+built by one of two constructions: _chain or _two_branch.
 """
 
 from __future__ import annotations
@@ -56,18 +57,16 @@ def _check_targets(mu: float, sigma2: float) -> float:
         raise NonPositiveInput(f"mean must be positive, got {mu}")
     if not (sigma2 >= 0.0 and math.isfinite(sigma2)):
         raise NonPositiveInput(f"variance must be nonnegative, got {sigma2}")
-    return sigma2 / mu / mu
+    cv2 = sigma2 / mu / mu
+    if not math.isfinite(cv2):
+        raise DomainError(f"Cv^2 = sigma^2/mu^2 of mean {mu!r} and variance "
+                          f"{sigma2!r} exceeds the float range")
+    return cv2
 
 
 def _result(model, family, mu, sigma2, alpha_n):
-    return FitResult(
-        model=model,
-        family=family,
-        n_transient=model.n_transient,
-        target=MomentSummary.from_mean_var(mu, sigma2),
-        achieved=summarize(model),
-        alpha_n=alpha_n,
-    )
+    return FitResult(model, family, model.n_transient,
+                     MomentSummary.from_mean_var(mu, sigma2), summarize(model), alpha_n)
 
 
 def minimal_states(mu: float, sigma2: float) -> int:
@@ -84,6 +83,16 @@ def minimal_states(mu: float, sigma2: float) -> int:
     return max(1, math.ceil(ratio - _CEIL_GUARD))
 
 
+def _chain(mu: float, n: int, alpha: float) -> GeneralizedCoxModel:
+    """One chain of n stages: n-1 of mean mu/n - alpha/sqrt(n-1), then one of
+    mean mu/n + sqrt(n-1) alpha. alpha = 0 gives the Erlang-n, and n = 1 the
+    exponential of mean mu."""
+    base = mu / n
+    x_head = base - alpha / math.sqrt(max(n - 1, 1))  # no head stage at n = 1
+    x_last = base + math.sqrt(n - 1) * alpha
+    return new_model([Branch(1.0, (1.0 / x_head,) * (n - 1) + (1.0 / x_last,))])
+
+
 def almost_erlang(mu: float, sigma2: float) -> FitResult:
     """Single-branch hypoexponential: N-1 equal stage means plus one
     distinct stage, with N = ceil(mu^2/sigma^2)."""
@@ -96,13 +105,8 @@ def almost_erlang(mu: float, sigma2: float) -> FitResult:
     # sqrt(N sigma2 - mu^2) / N with mu factored out, so nothing overflows;
     # N Cv^2 >= 1 up to roundoff at integral mu^2/sigma^2.
     alpha_n = mu * math.sqrt(max(n * cv2 - 1.0, 0.0)) / n
-    base = mu / n
-    x_head = base - alpha_n / math.sqrt(n - 1)
-    x_last = base + math.sqrt(n - 1) * alpha_n
-    rates = tuple([1.0 / x_head] * (n - 1) + [1.0 / x_last])
-    model = new_model([Branch(1.0, rates)])
     family = ERLANG if alpha_n == 0.0 else ALMOST_ERLANG
-    return _result(model, family, mu, sigma2, alpha_n)
+    return _result(_chain(mu, n, alpha_n), family, mu, sigma2, alpha_n)
 
 
 def _two_branch(mu: float, cv2: float, p: float) -> tuple[GeneralizedCoxModel, float]:
@@ -161,8 +165,7 @@ def fit_two_moments(mu: float, sigma2: float) -> FitResult:
         return simplest_hyper(mu, sigma2)
     if minimal_states(mu, sigma2) < 2:
         # sigma^2 below mu^2 only by roundoff: exponential boundary.
-        return _result(new_model([Branch(1.0, (1.0 / mu,))]),
-                       EXPONENTIAL, mu, sigma2, 0.0)
+        return _result(_chain(mu, 1, 0.0), EXPONENTIAL, mu, sigma2, 0.0)
     return almost_erlang(mu, sigma2)
 
 
@@ -172,23 +175,20 @@ def erlang_approximation(mu: float, n: int) -> FitResult:
     _check_targets(mu, 0.0)
     if n < 1:
         raise NonPositiveInput("stage count must be >= 1")
-    model = new_model([Branch(1.0, (n / mu,) * n)])
     family = EXPONENTIAL if n == 1 else ERLANG
-    return _result(model, family, mu, mu * mu / n, 0.0)
+    return _result(_chain(mu, n, 0.0), family, mu, mu * mu / n, 0.0)
 
 
 def sauer_chandy(mu: float, sigma2: float) -> FitResult:
-    """Sauer-Chandy two-state hyperexponential baseline (Cv > 1 branch):
-    p = 1/d, d = Cv^2+1 + sqrt(Cv^4-1) (the published (Cv^2+1 - sqrt(Cv^4-1))
-    / (2 (Cv^2+1)) without its cancellation), stage means mu/(2p), mu/(2(1-p))."""
+    """Sauer-Chandy two-state hyperexponential baseline (Cv > 1 branch): the
+    balanced-means member of hyper_family, p x1 = (1-p) x2 = mu/2, at
+    p = 1/(Cv^2+1 + sqrt(Cv^4-1)) (the published (Cv^2+1 - sqrt(Cv^4-1))
+    / (2 (Cv^2+1)) without its cancellation)."""
     cv2 = _check_targets(mu, sigma2)
     if cv2 <= 1.0:
         raise DomainError("Sauer-Chandy baseline requires sigma^2 > mu^2")
-    d = cv2 + 1.0 + math.sqrt(cv2 - 1.0) * math.sqrt(cv2 + 1.0)
-    p = 1.0 / d
-    x1 = mu * d / 2.0
-    x2 = mu / (2.0 * (1.0 - p))
-    model = new_model([Branch(p, (1.0 / x1,)), Branch(1.0 - p, (1.0 / x2,))])
+    p = 1.0 / (cv2 + 1.0 + math.sqrt(cv2 - 1.0) * math.sqrt(cv2 + 1.0))
+    model, _ = _two_branch(mu, cv2, p)
     return _result(model, SAUER_CHANDY, mu, sigma2, p)
 
 

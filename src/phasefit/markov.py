@@ -1,9 +1,9 @@
 """Absorbing-CTMC exports of a Generalized Cox model.
 
 The exact export realizes branch routing in the initial distribution; the
-approximate export adds an explicit pre-routing state I whose huge exit rate
-emulates instantaneous routing (adding exactly one 1/rate sojourn to the
-mean absorption time).
+approximate export is the exact chain plus an explicit pre-routing state I in
+front, whose huge exit rate emulates instantaneous routing (adding exactly one
+1/rate sojourn to the mean absorption time).
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import numpy as np
 from .errors import MalformedModel, NonPositiveInput, NonPositiveRate, ReducibleChain
 from .model import GeneralizedCoxModel, to_phase_type
 
+# A row may sum to this fraction of its diagonal: the routing row of rate
+# big_lambda sums to big_lambda (sum_j p_j - 1), not to an absolute 0.
 ROW_SUM_TOL = 1e-12
 DEFAULT_BIG_LAMBDA_FACTOR = 1e4
 
@@ -36,27 +38,22 @@ class CtmcExport:
         n = len(self.labels)
         if gen.shape != (n, n) or init.shape != (n,):
             raise MalformedModel("generator/initial shapes must match labels")
-        if np.max(np.abs(gen.sum(axis=1))) > ROW_SUM_TOL:
-            raise MalformedModel("generator rows must sum to 0")
-        off = gen - np.diag(np.diag(gen))
-        if np.min(off) < 0.0:
+        # each check passes only where it holds, so NaN and inf fail it
+        diag = np.diag(gen)
+        row_ok = np.abs(gen.sum(axis=1)) <= ROW_SUM_TOL * np.abs(diag)
+        if not (np.all(np.isfinite(gen)) and np.all(row_ok)):
+            raise MalformedModel("generator rows must be finite and sum to 0")
+        if not np.all(gen - np.diag(diag) >= 0.0):
             raise MalformedModel("off-diagonal rates must be nonnegative")
         zero_rows = np.nonzero(np.all(gen == 0.0, axis=1))[0]
         if len(zero_rows) != 1 or zero_rows[0] != self.absorbing_index:
             raise MalformedModel("exactly one absorbing (zero) row is required")
-        if abs(init.sum() - 1.0) > 1e-9:
-            raise MalformedModel("initial distribution must sum to 1")
+        if not (np.all(init >= 0.0) and abs(init.sum() - 1.0) <= 1e-9):
+            raise MalformedModel("initial distribution must be nonnegative and sum to 1")
 
     @property
     def n_states(self) -> int:
         return len(self.labels)
-
-
-def _branch_labels(model: GeneralizedCoxModel) -> list[str]:
-    labels = []
-    for j, b in enumerate(model.branches, start=1):
-        labels.extend(f"B{j}.S{k}" for k in range(1, b.length + 1))
-    return labels
 
 
 def exact_absorbing_ctmc(model: GeneralizedCoxModel) -> CtmcExport:
@@ -68,7 +65,8 @@ def exact_absorbing_ctmc(model: GeneralizedCoxModel) -> CtmcExport:
     gen[:n, :n] = rep.subgen
     gen[:n, n] = rep.exit_rates
     initial = np.concatenate([rep.alpha, [rep.atom0]])
-    labels = tuple(_branch_labels(model) + ["E"])
+    labels = tuple(f"B{j}.S{k}" for j, b in enumerate(model.branches, start=1)
+                   for k in range(1, b.length + 1)) + ("E",)
     return CtmcExport(labels, gen, initial, n)
 
 
@@ -81,20 +79,17 @@ def approx_ctmc(model: GeneralizedCoxModel, big_lambda: float | None = None) -> 
     """
     if big_lambda is None:
         big_lambda = DEFAULT_BIG_LAMBDA_FACTOR * max(model.max_rate, 1.0)
-    if big_lambda <= 0.0:
-        raise NonPositiveRate("big_lambda must be positive")
-    rep = to_phase_type(model)
-    n = rep.n
-    gen = np.zeros((n + 2, n + 2))
+    if not (big_lambda > 0.0 and math.isfinite(big_lambda)):
+        raise NonPositiveRate(f"big_lambda must be positive and finite, got {big_lambda!r}")
+    exact = exact_absorbing_ctmc(model)
+    n = exact.n_states
+    gen = np.zeros((n + 1, n + 1))
     gen[0, 0] = -big_lambda
-    gen[1 : n + 1, 1 : n + 1] = rep.subgen
-    gen[1 : n + 1, n + 1] = rep.exit_rates
-    gen[0, 1 : n + 1] = big_lambda * rep.alpha
-    gen[0, n + 1] = big_lambda * rep.atom0
-    initial = np.zeros(n + 2)
+    gen[0, 1:] = big_lambda * exact.initial
+    gen[1:, 1:] = exact.generator
+    initial = np.zeros(n + 1)
     initial[0] = 1.0
-    labels = tuple(["I"] + _branch_labels(model) + ["E"])
-    return CtmcExport(labels, gen, initial, n + 1)
+    return CtmcExport(("I",) + exact.labels, gen, initial, n)
 
 
 def _check_absorbable(ctmc: CtmcExport) -> None:

@@ -88,14 +88,8 @@ class GeneralizedCoxModel:
 
 
 def new_model(branches) -> GeneralizedCoxModel:
-    """Build a validated model from an iterable of Branch (or (prob, rates))."""
-    norm = []
-    for b in branches:
-        if not isinstance(b, Branch):
-            prob, rates = b
-            b = Branch(prob, tuple(rates))
-        norm.append(b)
-    return GeneralizedCoxModel(tuple(norm))
+    """Build a validated model from an iterable of Branch."""
+    return GeneralizedCoxModel(tuple(branches))
 
 
 def exponential_model(rate: float) -> GeneralizedCoxModel:
@@ -117,13 +111,11 @@ class ClassicalCoxSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "abandon_probs", tuple(float(p) for p in self.abandon_probs))
-        object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
         for p in self.abandon_probs:
             if not (0.0 <= p <= 1.0):
                 raise ProbSumInvalid(f"abandonment probability {p} outside [0, 1]")
-        for r in self.rates:
-            if not (r > 0.0 and math.isfinite(r)):
-                raise NonPositiveRate(f"stage rate {r} must be positive and finite")
+        # the stage rates are checked as a branch's are
+        object.__setattr__(self, "rates", Branch(1.0, self.rates).rates)
         if len(self.abandon_probs) != len(self.rates):
             raise UnsupportedShape(
                 "need one abandonment probability per stage (p_0..p_{N-1})"
@@ -263,4 +255,9 @@ def model_from_dict(data: dict) -> GeneralizedCoxModel:
 
 
 def model_from_json(text: str) -> GeneralizedCoxModel:
-    return model_from_dict(json.loads(text))
+    """Model from JSON text; text that is not JSON raises MalformedModel too."""
+    try:
+        data = json.loads(text)
+    except (TypeError, ValueError) as exc:
+        raise MalformedModel(f"malformed model data: {type(exc).__name__}: {exc}") from exc
+    return model_from_dict(data)

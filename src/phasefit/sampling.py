@@ -20,6 +20,8 @@ GENERATOR_NAME = "pcg64"
 # Draws per sample_n chunk; its stage-uniform buffer holds at most CHUNK
 # times the longest branch's stage count.
 CHUNK = 1 << 16
+# empirical_check passes a moment within this many standard errors.
+N_SE = 4.0
 
 
 class SamplerState:
@@ -103,11 +105,10 @@ class EmpiricalReport:
 
 
 def empirical_check(model: GeneralizedCoxModel, n: int, seed: int,
-                    n_se: float = 4.0,
                     expected_mean: float | None = None,
                     expected_variance: float | None = None) -> EmpiricalReport:
     """Draw n variates and compare sample mean/variance against the model's
-    analytic values (or explicit external targets) at an n_se-standard-error
+    analytic values (or explicit external targets) at an N_SE-standard-error
     threshold."""
     if n < 2:
         raise InsufficientData("empirical check needs n >= 2")
@@ -130,6 +131,6 @@ def empirical_check(model: GeneralizedCoxModel, n: int, seed: int,
         zero_fraction=float(np.mean(xs == 0.0)),
         analytic_mean=a_mean,
         analytic_variance=a_var,
-        mean_ok=abs(m - a_mean) <= n_se * se_mean,
-        variance_ok=abs(s2 - a_var) <= n_se * se_var,
+        mean_ok=abs(m - a_mean) <= N_SE * se_mean,
+        variance_ok=abs(s2 - a_var) <= N_SE * se_var,
     )

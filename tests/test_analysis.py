@@ -423,12 +423,14 @@ def test_variance_beyond_squared_mean_range():
 
 @pytest.mark.parametrize("moment", [mean, second_moment, summarize, lambda m: moment_k(m, 1)],
                          ids=["mean", "second_moment", "summarize", "moment_k"])
+@pytest.mark.filterwarnings("error")
 def test_moment_past_float_range_raises(moment):
     # fsum raises a bare OverflowError here and moment_k gives inf
     with pytest.raises(MomentOverflow):
         moment(new_model([Branch(1.0, (1e-308, 1e-308))]))
 
 
+@pytest.mark.filterwarnings("error")
 def test_higher_moment_past_float_range_raises():
     m = new_model([Branch(1.0, (1e-160,))])
     assert moment_k(m, 1) == pytest.approx(1e160)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from phasefit import SamplerState, model_from_json, sample_n
+from phasefit import SamplerState, model_from_json, model_to_json, sample_n, sauer_chandy
 from phasefit.cli import main
 
 
@@ -152,6 +152,22 @@ class TestExport:
         assert code == 0
         assert json.loads(out)["labels"][0] == "I"
 
+    def test_huge_routing_rate(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(model_to_json(sauer_chandy(1e-3, 4e-6).model))
+        code, out, _ = run_cli(capsys, "export", "--model", str(path),
+                               "--approx-routing", "1e8")
+        assert code == 0
+        assert json.loads(out)["generator"][0][0] == -1e8
+
+    @pytest.mark.parametrize("big", ["nan", "inf", "-1"])
+    def test_nonfinite_routing_rate_exits_2(self, capsys, tmp_path, big):
+        path = _write_model(capsys, tmp_path, 1, 4)
+        code, out, err = run_cli(capsys, "export", "--model", str(path),
+                                 "--approx-routing", big)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: NonPositiveRate")
+
 
 class TestVerify:
     def test_fitted_model_passes(self, capsys, tmp_path):
@@ -225,6 +241,12 @@ def test_fit_extreme_magnitude_exits_cleanly(capsys):
     assert (code == 0) == bool(out)
 
 
+def test_fit_cv2_past_float_range_exits_2(capsys):
+    code, out, err = run_cli(capsys, "fit", "--mean", "1e-10", "--var", "1e300")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: DomainError: Cv^2")
+
+
 MALFORMED_MODELS = ["{}", '{"branches": 5}', '{"branches": [{"rates": [1.0]}]}']
 MODEL_COMMANDS = [
     ("moments", "--model"),
@@ -257,6 +279,7 @@ OVERFLOW_COMMANDS = [
 
 
 @pytest.mark.parametrize("argv", OVERFLOW_COMMANDS, ids=lambda a: a[0])
+@pytest.mark.filterwarnings("error")
 def test_moment_overflow_exits_2(capsys, tmp_path, argv):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(OVERFLOW_MODEL))
@@ -274,6 +297,7 @@ def test_verify_refuses_overflow_before_drawing(capsys, tmp_path):
     assert err.startswith("error: MomentOverflow")
 
 
+@pytest.mark.filterwarnings("error")
 def test_moments_print_nothing_when_a_higher_moment_overflows(capsys, tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"branches": [{"prob": 1.0, "rates": [1e-160]}]}))

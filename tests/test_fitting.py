@@ -255,12 +255,34 @@ class TestSauerChandy:
         with pytest.raises(DomainError):
             sauer_chandy(1.0, 1.0)
 
+    @pytest.mark.parametrize("cv2", [1.0 + 1e-15, 1.02, 4.0, 1e4, 1e12])
+    def test_balanced_means_member_of_hyper_family(self, cv2):
+        fit = sauer_chandy(3.0, cv2 * 9.0)
+        (b1, b2) = fit.model.branches
+        assert b1.prob / b1.rates[0] == pytest.approx(1.5, rel=1e-14)
+        assert b2.prob / b2.rates[0] == pytest.approx(1.5, rel=1e-14)
+        assert hyper_family(3.0, cv2 * 9.0, fit.alpha_n).model == fit.model
+
 
 class TestErlangApproximation:
     def test_builds_erlang_n(self):
         fit = erlang_approximation(2.0, 4)
         assert fit.model.branches[0].rates == (2.0,) * 4
         assert variance(fit.model) == pytest.approx(1.0)
+
+    def test_same_model_as_the_erlang_fit(self):
+        # n/mu and 1/(mu/n) differ in the last bit here
+        mu, n = 60.59217924429939, 49
+        fit = fit_two_moments(mu, mu * mu / n)
+        assert (fit.family, fit.n_transient) == (fitting.ERLANG, n)
+        assert erlang_approximation(mu, n).model == fit.model
+
+
+@pytest.mark.parametrize("mu, sigma2", [(1e-10, 1e300), (1e-200, 1e100)])
+@pytest.mark.parametrize("fit", [fit_two_moments, simplest_hyper, sauer_chandy, almost_erlang])
+def test_cv2_past_float_range_names_itself(fit, mu, sigma2):
+    with pytest.raises(DomainError, match="Cv\\^2"):
+        fit(mu, sigma2)
 
 
 class TestSampleStats:

@@ -16,6 +16,7 @@ from phasefit import (
     moment_k,
     new_model,
     parse_ctmc_json,
+    sauer_chandy,
 )
 from phasefit.errors import MalformedModel, NonPositiveRate, ReducibleChain
 from phasefit.markov import CtmcExport
@@ -99,6 +100,34 @@ class TestApproxExport:
         with pytest.raises(NonPositiveRate):
             approx_ctmc(exponential_model(1.0), 0.0)
 
+    @pytest.mark.parametrize("big", [-1.0, float("nan"), float("inf")])
+    def test_nonfinite_or_negative_rate_rejected(self, big):
+        with pytest.raises(NonPositiveRate):
+            approx_ctmc(exponential_model(1.0), big)
+
+    def test_exact_chain_plus_routing_state(self):
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            m = random_model(rng, allow_instant=True)
+            exact, c = exact_absorbing_ctmc(m), approx_ctmc(m, 1e3)
+            assert c.labels == ("I",) + exact.labels
+            assert c.absorbing_index == exact.absorbing_index + 1
+            assert np.array_equal(c.generator[1:, 1:], exact.generator)
+            assert np.array_equal(c.generator[0, 1:], 1e3 * exact.initial)
+            assert c.generator[0, 0] == -1e3
+
+    def test_default_routing_builds_where_probabilities_round(self):
+        # the routing row sums to big_lambda (sum p - 1): about 1e-12 of
+        # 1e4 * max rate, past an absolute 1e-12 on 883 of these models
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            approx_ctmc(random_model(rng, allow_instant=True))
+
+    def test_huge_routing_rate_on_sauer_chandy(self):
+        m = sauer_chandy(1e-3, 4e-6).model
+        c = approx_ctmc(m, 1e8)
+        assert absorption_time_moments(c, 1) == pytest.approx(1e-3 + 1e-8, rel=1e-9)
+
 
 class TestAbsorptionMoments:
     def test_exponential_mean(self):
@@ -173,7 +202,11 @@ _E2 = [[-2.0, 2.0, 0.0], [0.0, -2.0, 2.0], [0.0, 0.0, 0.0]]
     (("A", "B", "E"), [[1.0, -1.0, 0.0]] + _E2[1:], [1.0, 0.0, 0.0], 2),
     (("A", "B", "E"), _E2, [1.0, 0.0, 0.0], 1),
     (("A", "B", "E"), _E2, [0.5, 0.0, 0.0], 2),
-], ids=["shape", "row_sum", "sign", "absorbing_row", "initial_sum"])
+    (("A", "B", "E"), [[float("nan"), 2.0, 0.0]] + _E2[1:], [1.0, 0.0, 0.0], 2),
+    (("A", "B", "E"), [[-float("inf"), 2.0, 0.0]] + _E2[1:], [1.0, 0.0, 0.0], 2),
+    (("A", "B", "E"), _E2, [-1.0, 2.0, 0.0], 2),
+], ids=["shape", "row_sum", "sign", "absorbing_row", "initial_sum", "nan_rate",
+        "infinite_rate", "negative_initial"])
 def test_invalid_ctmc_is_malformed(labels, gen, init, absorbing):
     with pytest.raises(MalformedModel):
         CtmcExport(labels, np.array(gen), np.array(init), absorbing)

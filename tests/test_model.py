@@ -17,6 +17,7 @@ from phasefit import (
 )
 from phasefit.errors import (
     EmptyModel,
+    MalformedModel,
     NonPositiveRate,
     ProbSumInvalid,
     UnsupportedShape,
@@ -176,3 +177,9 @@ def test_equal_rate_mixture_reduces_to_exponential():
 def test_json_round_trip():
     m = new_model([Branch(0.4, (0.4,)), Branch(0.6, ())])
     assert model_from_json(model_to_json(m)) == m
+
+
+@pytest.mark.parametrize("text", ["nope", "", '{"branches": [', None])
+def test_model_text_not_json_is_malformed(text):
+    with pytest.raises(MalformedModel):
+        model_from_json(text)
