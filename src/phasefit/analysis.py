@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, pdtrik, xlogy
+from scipy.special import gammaln, xlogy
 
 from .errors import (
     DegenerateProbs,
@@ -29,6 +29,7 @@ POLE_TOL = 1e-14
 UNIFORMIZATION_TAIL = 1e-12
 # A branch needing more uniformization terms than this is refused as too stiff.
 MAX_UNIFORMIZATION_TERMS = 10_000_000
+CHUNK = 1 << 18  # Poisson weights (times x terms) per block: 2 MiB
 
 
 @dataclass(frozen=True)
@@ -141,34 +142,51 @@ def _uniformized_apply(rep: PhaseTypeRep, t, v: np.ndarray):
     cannot stiffen a slow one (Reibman & Trivedi, Comput. Oper. Res. 15(1),
     1988). An equal-rate branch makes P = I + T/q a pure shift, exact after
     L terms; any other is cut where the Poisson tail at the largest q t
-    falls below UNIFORMIZATION_TAIL.
+    falls below UNIFORMIZATION_TAIL. Blocks of at most CHUNK Poisson(q t)
+    weights, for consecutive times, span x - c sqrt(x) to x + c sqrt(x) +
+    c^2/3 over their q t = x, dropping under that tail (Chernoff and
+    Bernstein bounds; Fox & Glynn, Commun. ACM 31(4), 1988). The one log
+    per time is of x / k, k a power of two near x: n multiplies its rounding.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(ts < 0.0):
-        raise NegativeTime("density and cdf defined for t >= 0")
+    t_lo, t_hi = float(np.min(ts, initial=0.0)), float(np.max(ts, initial=0.0))
+    if not (t_lo >= 0.0 and t_hi < math.inf):  # a NaN fails the first test
+        raise NegativeTime(f"cdf and pdf need finite t >= 0, got {t_hi if t_lo >= 0.0 else t_lo!r}")
     out = np.zeros_like(ts)
+    c = math.sqrt(2.0 * math.log(1e2 / UNIFORMIZATION_TAIL))  # each side drops TAIL / 100
     for alpha, rates, w in rep.blocks(rep.alpha, rep.rates, v):
         q = float(rates.max())
         if np.all(rates == q):
             coeffs = w  # (P^n v)_0 = v_n
         else:
-            qt_max = q * float(np.max(ts, initial=0.0))
-            tail = pdtrik(1.0 - UNIFORMIZATION_TAIL * 1e-2, qt_max)
+            qt_max = q * t_hi
+            tail = qt_max + c * math.sqrt(qt_max) + c * c / 3.0
             if not tail <= MAX_UNIFORMIZATION_TERMS:
-                raise StiffChain(f"rates {rates.min()!r} to {q!r} need {tail!r} "
-                                 f"uniformization terms at q*t = {qt_max!r}")
+                raise StiffChain(f"rates {rates.min():g} to {q:g} need {tail:.3g} terms")
             r = rates / q
-            coeffs = np.empty(math.ceil(tail) + 3)
+            coeffs = np.empty(math.ceil(tail) + 2)
             for n in range(len(coeffs)):
                 coeffs[n] = w[0]
                 # bidiagonal step w <- P w: w_k = (1 - r_k) w_k + r_k w_{k+1}
                 w = (1.0 - r) * w + r * np.append(w[1:], 0.0)
-        ns = np.arange(len(coeffs))
-        chunk = max(1, 10_000_000 // len(coeffs))
-        for lo in range(0, len(ts), chunk):
-            qt = q * ts[lo:lo + chunk, None]
-            pmf = np.exp(xlogy(ns, qt) - gammaln(ns + 1) - qt)  # Poisson(q t)
-            out[lo:lo + chunk] += alpha[0] * (pmf @ coeffs)
+        lo, rows = 0, CHUNK
+        while lo < len(ts):  # q t capped at 1e300, past which no term is in reach
+            qt = q * np.minimum(ts[lo:lo + rows], 1e300 / q)
+            x_lo, x_hi = float(qt.min()), float(qt.max())
+            n0 = int(min(max(x_lo - c * math.sqrt(x_lo), 0.0), len(coeffs)))
+            n1 = int(min(x_hi + c * math.sqrt(x_hi) + c * c / 3.0 + 1.0, len(coeffs)))
+            if len(qt) > 1 and len(qt) * (n1 - n0) > CHUNK:
+                rows = len(qt) // 2
+                continue
+            ns = np.arange(n0, n1, dtype=float)
+            k = 2.0 ** round(math.log2(n1 + 1))
+            with np.errstate(divide="ignore"):  # qt / k is exact; log 0 floors to -1e300
+                pmf = np.multiply.outer(np.maximum(np.log(qt * (1.0 / k)), -1e300), ns)
+            # n log k as n log(k/n) + n log n: no one rounding is multiplied by every n
+            pmf += xlogy(ns, k / np.maximum(ns, 1.0)) + xlogy(ns, ns) - gammaln(ns + 1)
+            pmf -= qt[:, None]
+            out[lo:lo + len(qt)] += np.exp(pmf, out=pmf) @ (alpha[0] * coeffs[n0:n1])
+            lo, rows = lo + len(qt), max(1, CHUNK // max(n1 - n0, 1))
     return float(out[0]) if np.ndim(t) == 0 else out
 
 

@@ -175,6 +175,8 @@ def erlang_approximation(mu: float, n: int) -> FitResult:
     _check_targets(mu, 0.0)
     if n < 1:
         raise NonPositiveInput("stage count must be >= 1")
+    if n > MAX_STAGES:
+        raise DomainError(f"Erlang-{n} has more than {MAX_STAGES} stages")
     family = EXPONENTIAL if n == 1 else ERLANG
     return _result(_chain(mu, n, 0.0), family, mu, mu * mu / n, 0.0)
 

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special, stats
 
 from phasefit import (
     Branch,
@@ -189,6 +189,19 @@ class TestPdfCdf:
         with pytest.raises(NegativeTime):
             cdf(exponential_model(1.0), -0.1)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("f", [cdf, pdf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("model", [
+        exponential_model(2.0),
+        new_model([Branch(1.0, (3.0,) * 4)]),
+        new_model([Branch(1.0, (3.0, 1.0, 2.0))]),
+    ], ids=["exponential", "erlang", "unequal_chain"])
+    def test_nonfinite_time_rejected(self, model, bad, f):
+        for t in (bad, np.array([0.5, bad, 1.0])):
+            with pytest.raises(NegativeTime, match=f"got {bad!r}$"):
+                f(model, t)
+
     def test_cross_branch_stiffness_matches_closed_form(self):
         # rates 0.4 and 4.8e12 in separate branches: each branch is
         # uniformized at its own rate, so the fast one cannot swamp the slow
@@ -277,6 +290,41 @@ def test_moment_k_huge_erlang_in_linear_memory():
     want = [math.prod(range(n, n + k)) / n**k for k in range(1, 5)]
     np.testing.assert_allclose(got, want, rtol=1e-10)
     assert peak < 32 * 2**20
+
+
+def test_cdf_memory_is_cache_sized():
+    # the almost_erlang20 job of the analytic benchmark: 1e5 times out to
+    # mean + 8 sd once took 154 MiB of Poisson weights
+    m = GOLDEN_MODELS["almost_erlang20"]
+    ts = np.linspace(0.0, mean(m) + 8.0 * math.sqrt(variance(m)), 100_000)
+    tracemalloc.start()
+    try:
+        cdf(m, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_cdf_at_large_qt_matches_hypoexponential_closed_form():
+    # almost-Erlang-2000: k = 1999 stages of rate a, then one of rate b < a,
+    # so q t runs to about 2400 and each time needs about 1100 Poisson terms.
+    # With G ~ Gamma(k, a), x = (a - b) t and E ~ Exp(b),
+    # P(G + E > t) = Q(k, a t) + e^{-bt} (a / (a-b))^k P(k, x)
+    #              = Q(k, a t) + Poisson(k; a t) sum_j x^j k! / (k + j)!
+    m = fit_two_moments(1.0, 1 / 1999.5).model
+    (branch,) = m.branches
+    a, b, k = branch.rates[0], branch.rates[-1], branch.length - 1
+    assert branch.rates[:-1] == (a,) * k and b < a
+    ts = np.linspace(0.0, mean(m) + 8.0 * math.sqrt(variance(m)), 10_000)
+    x = (a - b) * ts
+    assert np.all(x < 0.6 * k)  # the series converges geometrically
+    term, series = np.ones_like(ts), np.ones_like(ts)
+    for j in range(1, 200):
+        term *= x / (k + j)
+        series += term
+    surv = special.gammaincc(k, a * ts) + stats.poisson.pmf(k, a * ts) * series
+    np.testing.assert_allclose(cdf(m, ts), 1.0 - surv, rtol=0, atol=1e-12)
 
 
 def test_import_does_not_load_scipy_stats():

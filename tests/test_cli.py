@@ -41,6 +41,13 @@ class TestFit:
         assert code == 0
         assert model_from_json(out).branches[0].length == 8
 
+    def test_approx_deterministic_past_max_stages_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "fit", "--mean", "1", "--var", "0",
+                                 "--approx-deterministic", "2000000")
+        assert code == 2
+        assert out == ""
+        assert "DomainError" in err and "Traceback" not in err
+
     def test_explicit_families(self, capsys):
         for family, expect in [("sauer-chandy", "SauerChandy"),
                                ("hyper:0.2", "HyperFamily")]:

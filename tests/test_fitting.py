@@ -270,6 +270,10 @@ class TestErlangApproximation:
         assert fit.model.branches[0].rates == (2.0,) * 4
         assert variance(fit.model) == pytest.approx(1.0)
 
+    def test_more_stages_than_max_refused(self):
+        with pytest.raises(DomainError, match="more than"):
+            erlang_approximation(1.0, fitting.MAX_STAGES + 1)
+
     def test_same_model_as_the_erlang_fit(self):
         # n/mu and 1/(mu/n) differ in the last bit here
         mu, n = 60.59217924429939, 49

@@ -6,22 +6,27 @@ import sys
 
 import numpy as np
 from hypothesis import assume, event, given, settings, strategies as st
+from scipy import linalg
 
 from phasefit import (
     Branch,
     absorption_time_moments,
     approx_ctmc,
+    cdf,
     erlang_approximation,
     exact_absorbing_ctmc,
     export_json,
     fit_two_moments,
     hyper_family,
+    mean,
     moment_k,
     new_model,
     parse_ctmc_json,
+    pdf,
     sauer_chandy,
 )
 from phasefit.errors import PhasefitError
+from phasefit.model import to_phase_type
 
 REL = 1e-9
 
@@ -76,14 +81,15 @@ def test_erlang_approximation_is_the_erlang_fit(log_mu, n):
 
 
 @st.composite
-def models(draw):
+def models(draw, decades=3.0):
     """Up to three branches of up to four stages, rates log-uniform in
-    [1e-3, 1e3]; zero-length branches are atoms at zero."""
+    [10^-decades, 10^decades]; zero-length branches are atoms at zero."""
     shapes = draw(st.lists(st.tuples(st.floats(0.01, 1.0), st.integers(0, 4)),
                            min_size=1, max_size=3))
     total = math.fsum(w for w, _ in shapes)
     return new_model(
-        Branch(w / total, tuple(10.0 ** draw(st.floats(-3.0, 3.0)) for _ in range(length)))
+        Branch(w / total,
+               tuple(10.0 ** draw(st.floats(-decades, decades)) for _ in range(length)))
         for w, length in shapes)
 
 
@@ -101,3 +107,30 @@ def test_ctmc_exports_build_round_trip_and_match_moments(model, log_factor):
     for k in (1, 2, 3):
         assert math.isclose(absorption_time_moments(exact, k), moment_k(model, k),
                             rel_tol=REL)
+
+
+# Rates within one decade of 1 keep q t, the uniformization term count, in
+# the thousands at six means, so the property runs in a few seconds.
+@settings(max_examples=100)
+@given(models(decades=1.0))
+def test_cdf_and_pdf_match_the_matrix_exponential(model):
+    rep = to_phase_type(model)
+    scale = mean(model) or 1.0  # 0 when every branch is an atom
+    ts = scale * np.linspace(0.0, 6.0, 25)
+    got = cdf(model, ts)
+    # scipy's expm treats a triangular matrix apart, and its formula for the
+    # superdiagonal cancels when two rates nearly agree (1e-4 off at rates 1
+    # and 1 + 2.3e-14); an orthogonal change of basis makes the matrix dense
+    rot = np.linalg.qr(np.random.default_rng(rep.n).normal(size=(rep.n, rep.n)))[0]
+    a, ones = rep.alpha @ rot.T, rot @ np.ones(rep.n)
+    want = [1.0 - a @ linalg.expm(rot @ rep.subgen @ rot.T * t) @ ones for t in ts]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    # range and monotonicity up to that accuracy: branch probabilities that
+    # sum past 1 by rounding give cdf(0) = -2.2e-16
+    assert np.all((got >= -1e-12) & (got <= 1.0 + 1e-12)) and np.all(np.diff(got) >= -1e-12)
+    assert math.isclose(got[0], model.atom_weight, rel_tol=0, abs_tol=1e-12)
+    # central differences with h = 1e-4 / q: truncation near 1e-9 relative
+    q = max(model.max_rate, 1.0)
+    h = 1e-4 / q
+    slope = (cdf(model, ts[1:] + h) - cdf(model, ts[1:] - h)) / (2.0 * h)
+    np.testing.assert_allclose(pdf(model, ts[1:]), slope, rtol=1e-6, atol=1e-7 * q)
