@@ -23,7 +23,7 @@ from .errors import (
     ProbSumInvalid,
     StiffChain,
 )
-from .model import GeneralizedCoxModel, PhaseTypeRep, to_phase_type
+from .model import PROB_SUM_INPUT_TOL, GeneralizedCoxModel, PhaseTypeRep, to_phase_type
 
 POLE_TOL = 1e-14
 UNIFORMIZATION_TAIL = 1e-12
@@ -199,7 +199,9 @@ def pdf(model: GeneralizedCoxModel, t):
 def cdf(model: GeneralizedCoxModel, t):
     """P(T <= t), including the atom at zero (cdf(0) = atom weight)."""
     rep = to_phase_type(model)
-    return 1.0 - _uniformized_apply(rep, t, np.ones(rep.n))
+    # clipped: branch probabilities that sum past 1 by rounding give -2.2e-16 at t = 0
+    p = np.clip(1.0 - _uniformized_apply(rep, t, np.ones(rep.n)), 0.0, 1.0)
+    return p if np.ndim(t) else float(p)
 
 
 @dataclass(frozen=True)
@@ -226,10 +228,12 @@ def min_second_moment(probs, lengths, mu: float) -> MinSecondMomentReport:
         raise NonPositiveInput("need one length per probability")
     if any(L < 0 for L in lengths):
         raise NonPositiveInput("branch lengths must be nonnegative integers")
+    if not all(0.0 <= p <= 1.0 for p in probs):  # NaN fails it too
+        raise ProbSumInvalid(f"probabilities must lie in [0, 1], got {probs!r}")
     denom = math.fsum(p * L / (1.0 + L) for p, L in zip(probs, lengths))
     if denom == 0.0:
         raise DegenerateProbs("no probability falls on a branch with stages")
-    if abs(math.fsum(probs) - 1.0) > 1e-9:
+    if abs(math.fsum(probs) - 1.0) > PROB_SUM_INPUT_TOL:
         raise ProbSumInvalid("probabilities must sum to 1")
     ratio_min = 1.0 / denom
     gamma = 2.0 * mu / denom

@@ -7,6 +7,7 @@ Exit codes: 0 success/PASS, 1 verification FAIL, 2 usage or domain error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import os
 import sys
@@ -18,10 +19,6 @@ from .model import model_from_json, model_to_json
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("PHASEFIT_SEED", "0"))
 
 
 def _load_model(path: str):
@@ -59,6 +56,11 @@ def _print_fit_diagnostics(fit: fitting.FitResult) -> None:
     print(f"lower_bound={bound.lower_bound!r}", file=err)
 
 
+# --family name -> fitting function; hyper:P is parsed apart, as it carries P
+FAMILIES = {"auto": fitting.fit_two_moments, "almost-erlang": fitting.almost_erlang,
+            "simplest-hyper": fitting.simplest_hyper, "sauer-chandy": fitting.sauer_chandy}
+
+
 def cmd_fit(args) -> int:
     if args.data is not None:
         stats = fitting.sample_stats(_read_data_csv(args.data))
@@ -67,16 +69,10 @@ def cmd_fit(args) -> int:
         mu, sigma2 = args.mean, args.var
     if args.approx_deterministic is not None:
         fit = fitting.erlang_approximation(mu, args.approx_deterministic)
-    elif args.family == "auto":
-        fit = fitting.fit_two_moments(mu, sigma2)
-    elif args.family == "almost-erlang":
-        fit = fitting.almost_erlang(mu, sigma2)
-    elif args.family == "simplest-hyper":
-        fit = fitting.simplest_hyper(mu, sigma2)
-    elif args.family == "sauer-chandy":
-        fit = fitting.sauer_chandy(mu, sigma2)
     elif args.family.startswith("hyper:"):
         fit = fitting.hyper_family(mu, sigma2, float(args.family.split(":", 1)[1]))
+    elif args.family in FAMILIES:
+        fit = FAMILIES[args.family](mu, sigma2)
     else:
         raise PhasefitError(f"unknown family {args.family!r}")
     _print_fit_diagnostics(fit)
@@ -99,8 +95,9 @@ def cmd_sample(args) -> int:
 
 def cmd_moments(args) -> int:
     model = _load_model(args.model)
-    # all computed before printing, so a moment past the float range prints nothing
-    moments = [analysis.moment_k(model, k) for k in range(1, args.k + 1)]
+    # all computed before printing, so a moment past the float range prints
+    # nothing; a k below 1 is passed to moment_k, which refuses it
+    moments = [analysis.moment_k(model, k) for k in range(min(args.k, 1), args.k + 1)]
     for k, value in enumerate(moments, 1):
         print(f"{k}\t{value!r}")
     return EXIT_OK
@@ -141,12 +138,8 @@ def cmd_simulate(args) -> int:
     service = _load_model(args.service)
     stats = des.run_mph1(args.arrival_rate, service,
                          n_customers=args.customers, seed=args.seed)
-    print(f"n_served={stats.n_served}")
-    print(f"mean_wait={stats.mean_wait!r}")
-    print(f"mean_system_time={stats.mean_system_time!r}")
-    print(f"utilization={stats.utilization!r}")
-    print(f"se_wait={stats.se_wait!r}")
-    print(f"stable={stats.stable}")
+    for key, value in dataclasses.asdict(stats).items():
+        print(f"{key}={value!r}")
     try:
         pk = des.pk_mean_wait(args.arrival_rate, analysis.summarize(service))
         print(f"pk_mean_wait={pk!r}")
@@ -161,6 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Generalized Cox distributions: fit, sample, analyze, export, simulate.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    model_opt = argparse.ArgumentParser(add_help=False)
+    model_opt.add_argument("--model", required=True)
+    seed_opt = argparse.ArgumentParser(add_help=False)
+    # a string default is converted by type only when --seed is absent
+    seed_opt.add_argument("--seed", type=int, default=os.environ.get("PHASEFIT_SEED", "0"))
 
     p = sub.add_parser("fit", help="fit a minimal model to mean/variance targets")
     group = p.add_mutually_exclusive_group(required=True)
@@ -173,39 +171,34 @@ def build_parser() -> argparse.ArgumentParser:
                    help="build an Erlang-N approximation of a deterministic delay")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("sample", help="draw random variates from a model")
-    p.add_argument("--model", required=True)
+    p = sub.add_parser("sample", parents=[model_opt, seed_opt],
+                       help="draw random variates from a model")
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("moments", help="raw moments 1..K of a model")
-    p.add_argument("--model", required=True)
+    p = sub.add_parser("moments", parents=[model_opt], help="raw moments 1..K of a model")
     p.add_argument("-k", type=int, default=2)
     p.set_defaults(func=cmd_moments)
 
-    p = sub.add_parser("export", help="export the absorbing CTMC")
-    p.add_argument("--model", required=True)
+    p = sub.add_parser("export", parents=[model_opt], help="export the absorbing CTMC")
     p.add_argument("--format", choices=["ctmc-json", "dot"], default="ctmc-json")
     p.add_argument("--approx-routing", type=float, metavar="BIGLAMBDA",
                    help="use the huge-rate routing state at this rate")
     p.set_defaults(func=cmd_export)
 
-    p = sub.add_parser("verify", help="empirical moment check of a model")
-    p.add_argument("--model", required=True)
+    p = sub.add_parser("verify", parents=[model_opt, seed_opt],
+                       help="empirical moment check of a model")
     p.add_argument("-n", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--expect-mean", type=float,
                    help="check against this mean instead of the model's own")
     p.add_argument("--expect-var", type=float,
                    help="check against this variance instead of the model's own")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("simulate", help="M/PH/1 queue simulation")
+    p = sub.add_parser("simulate", parents=[seed_opt], help="M/PH/1 queue simulation")
     p.add_argument("--service", required=True)
     p.add_argument("--arrival-rate", type=float, required=True)
     p.add_argument("--customers", type=int, default=500_000)
-    p.add_argument("--seed", type=int, default=_default_seed())
     p.set_defaults(func=cmd_simulate)
 
     return parser

@@ -126,7 +126,7 @@ def run_mph1(arrival_rate: float, service: GeneralizedCoxModel,
         n_served=n_customers,
         mean_wait=mean_wait,
         mean_system_time=mean_wait + float(services[cut:].mean()),
-        utilization=min(services.sum() / last_departure, 1.0) if last_departure > 0 else 0.0,
+        utilization=float(min(services.sum() / last_departure, 1.0)) if last_departure > 0 else 0.0,
         se_wait=_batch_means_se(waits[cut:]),
         stable=stable,
     )

@@ -144,7 +144,7 @@ def parse_ctmc_json(text: str) -> CtmcExport:
         data = json.loads(text)
         fields = (tuple(data["labels"]), np.array(data["generator"], dtype=float),
                   np.array(data["initial"], dtype=float), int(data["absorbing"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise MalformedModel(f"malformed CTMC data: {type(exc).__name__}: {exc}") from exc
     return CtmcExport(*fields)
 
@@ -160,9 +160,8 @@ def export_dot(ctmc: CtmcExport) -> str:
         if ctmc.initial[i] > 0.0:
             attrs[0] = f'label="{label}\\np0={float(ctmc.initial[i])!r}"'
         lines.append(f'  s{i} [{", ".join(attrs)}];')
-    for i in range(ctmc.n_states):
-        for j in range(ctmc.n_states):
-            if i != j and ctmc.generator[i, j] > 0.0:
-                lines.append(f'  s{i} -> s{j} [label="{float(ctmc.generator[i, j])!r}"];')
+    # the diagonal is never positive, so these are the edges, row by row
+    for i, j in zip(*np.nonzero(ctmc.generator > 0.0)):
+        lines.append(f'  s{i} -> s{j} [label="{float(ctmc.generator[i, j])!r}"];')
     lines.append("}")
     return "\n".join(lines)

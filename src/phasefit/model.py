@@ -230,34 +230,16 @@ def cox_routing_feasible(model: GeneralizedCoxModel) -> CoxFeasibility:
 
 # --- JSON interchange (canonical CLI format) ---
 
-def model_to_dict(model: GeneralizedCoxModel) -> dict:
-    return {
-        "branches": [
-            {"prob": b.prob, "rates": list(b.rates)} for b in model.branches
-        ]
-    }
-
-
 def model_to_json(model: GeneralizedCoxModel) -> str:
-    return json.dumps(model_to_dict(model))
-
-
-def model_from_dict(data: dict) -> GeneralizedCoxModel:
-    """Model from the interchange format; data of another shape raises
-    MalformedModel."""
-    branches = data.get("branches") if isinstance(data, dict) else None
-    if not isinstance(branches, list):
-        raise MalformedModel("model data needs a list under 'branches'")
-    try:
-        return new_model(Branch(b["prob"], tuple(b.get("rates", ()))) for b in branches)
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise MalformedModel(f"malformed branch: {type(exc).__name__}: {exc}") from exc
+    return json.dumps({"branches": [{"prob": b.prob, "rates": list(b.rates)}
+                                    for b in model.branches]})
 
 
 def model_from_json(text: str) -> GeneralizedCoxModel:
-    """Model from JSON text; text that is not JSON raises MalformedModel too."""
+    """Model from model_to_json's format; other text or data raises
+    MalformedModel."""
     try:
-        data = json.loads(text)
-    except (TypeError, ValueError) as exc:
+        return new_model(Branch(b["prob"], tuple(b.get("rates", ())))
+                         for b in json.loads(text)["branches"])
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise MalformedModel(f"malformed model data: {type(exc).__name__}: {exc}") from exc
-    return model_from_dict(data)

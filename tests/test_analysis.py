@@ -32,6 +32,7 @@ from phasefit.errors import (
     NegativeTime,
     NonPositiveInput,
     PoleEvaluation,
+    ProbSumInvalid,
     StiffChain,
 )
 
@@ -164,6 +165,14 @@ class TestPdfCdf:
     def test_atom_appears_in_cdf_at_zero(self):
         m = new_model([Branch(0.4, (0.4,)), Branch(0.6, ())])
         assert cdf(m, 0.0) == pytest.approx(0.6, abs=1e-12)
+
+    def test_cdf_stays_in_range_when_probabilities_sum_past_one_by_rounding(self):
+        p = 0.49751243781094534
+        m = new_model([Branch(p, (1.0,)), Branch(p, (1.0,)),
+                       Branch(0.0049751243781094535, (1.0,))])
+        got = cdf(m, 0.0)
+        assert got == 0.0 and type(got) is float
+        assert np.all(cdf(m, np.array([0.0, 1e-300, 1e3])) == [0.0, 0.0, 1.0])
 
     def test_cdf_monotone_and_limits(self):
         rng = np.random.default_rng(4)
@@ -441,6 +450,11 @@ class TestMinSecondMoment:
         assert r.lower_bound == 2.0
         assert r.jstar == 0
         assert r.optimal_x[1] == ()
+
+    @pytest.mark.parametrize("probs", [[-0.5, 1.5], [math.nan, 1.0]])
+    def test_probability_outside_unit_interval_rejected(self, probs):
+        with pytest.raises(ProbSumInvalid):
+            min_second_moment(probs, [1, 2], 1.0)
 
     def test_all_mass_on_atoms_rejected(self):
         for probs, lengths in [([1.0], [0]), ([0.5, 0.5], [0, 0]), ([1.0, 0.0], [0, 2])]:

@@ -134,6 +134,13 @@ class TestMoments:
         assert all(float(line.split("\t")[1]) == 0.0
                    for line in out.strip().splitlines())
 
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_order_below_one_exits_2(self, capsys, tmp_path, k):
+        path = _write_model(capsys, tmp_path, 1, 4)
+        code, out, err = run_cli(capsys, "moments", "--model", str(path), "-k", k)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: NonPositiveInput")
+
 
 class TestExport:
     def test_ctmc_json(self, capsys, tmp_path):
@@ -217,6 +224,20 @@ class TestSimulate:
         assert report["n_served"] == "20000"
         assert float(report["pk_mean_wait"]) == pytest.approx(1.25)
         assert abs(float(report["mean_wait"]) - 1.25) <= 6 * float(report["se_wait"])
+
+    @pytest.mark.parametrize("mean, arrival_rate", [(0.5, 1.0), (2.0, 0.9)],
+                             ids=["stable", "unstable"])
+    @pytest.mark.filterwarnings("ignore::phasefit.errors.UnstableSystemWarning")
+    def test_every_value_is_a_plain_number_or_bool(self, capsys, tmp_path, mean, arrival_rate):
+        path = _write_model(capsys, tmp_path, mean, 1)
+        code, out, _ = run_cli(capsys, "simulate", "--service", str(path),
+                               "--arrival-rate", str(arrival_rate),
+                               "--customers", "2000", "--seed", "2")
+        assert code == 0
+        for line in out.strip().splitlines():
+            key, value = line.split("=", 1)
+            if value not in ("True", "False"):
+                float(value)  # also parses an int
 
 
 def test_pipeline_fit_sample_verify(capsys, tmp_path):
@@ -311,3 +332,49 @@ def test_moments_print_nothing_when_a_higher_moment_overflows(capsys, tmp_path):
     code, out, err = run_cli(capsys, "moments", "--model", str(path), "-k", "2")
     assert (code, out) == (2, "")
     assert err.startswith("error: MomentOverflow: moment_k")
+
+
+SEEDLESS_COMMANDS = [
+    ("fit", "--mean", "1", "--var", "0.4"),
+    ("moments", "-k", "3", "--model"),
+    ("export", "--format", "dot", "--model"),
+]
+SEEDED_COMMANDS = [
+    ("sample", "-n", "5", "--model"),
+    ("verify", "-n", "1000", "--model"),
+    ("simulate", "--arrival-rate", "0.5", "--customers", "100", "--service"),
+]
+
+
+def _with_model(capsys, tmp_path, argv):
+    if argv[-1] in ("--model", "--service"):
+        argv += (str(_write_model(capsys, tmp_path, 1, 4)),)
+    return argv
+
+
+@pytest.mark.parametrize("argv", SEEDLESS_COMMANDS, ids=lambda a: a[0])
+def test_invalid_seed_variable_is_ignored_by_commands_without_a_seed(capsys, tmp_path,
+                                                                     monkeypatch, argv):
+    argv = _with_model(capsys, tmp_path, argv)
+    expected = run_cli(capsys, *argv)
+    monkeypatch.setenv("PHASEFIT_SEED", "abc")
+    assert run_cli(capsys, *argv) == expected
+    assert expected[0] == 0
+
+
+@pytest.mark.parametrize("argv", SEEDED_COMMANDS, ids=lambda a: a[0])
+def test_invalid_seed_variable_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
+    argv = _with_model(capsys, tmp_path, argv)
+    monkeypatch.setenv("PHASEFIT_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "argument --seed: invalid int value: 'abc'" in err and "Traceback" not in err
+
+
+def test_seed_variable_sets_the_default_seed(capsys, tmp_path, monkeypatch):
+    path = _write_model(capsys, tmp_path, 1, 4)
+    expected = run_cli(capsys, "sample", "--model", str(path), "-n", "50", "--seed", "11")
+    monkeypatch.setenv("PHASEFIT_SEED", "11")
+    assert run_cli(capsys, "sample", "--model", str(path), "-n", "50") == expected

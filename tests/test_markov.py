@@ -180,14 +180,28 @@ class TestSerialization:
         assert dot.count("->") == 3
         assert "B1.S3" in dot
 
+    @pytest.mark.parametrize("model", [
+        new_model([Branch(1.0, (2.0,) * 199)]),
+        fit_two_moments(1.0, 16.0).model,
+    ], ids=["erlang199", "hyper_atom"])
+    @pytest.mark.parametrize("export", [exact_absorbing_ctmc, approx_ctmc])
+    def test_dot_edges_are_every_positive_off_diagonal_rate_row_by_row(self, model, export):
+        ctmc = export(model)
+        gen = ctmc.generator
+        edges = [f'  s{i} -> s{j} [label="{float(gen[i, j])!r}"];'
+                 for i in range(ctmc.n_states) for j in range(ctmc.n_states)
+                 if i != j and gen[i, j] > 0.0]
+        lines = export_dot(ctmc).split("\n")
+        assert lines[3 + ctmc.n_states:] == edges + ["}"]
+
 
 @pytest.mark.parametrize("text", ['{}', '[1]', 'nope', '{"labels": ["A"]}',
                                   '{"labels": ["A", "E"], "generator": [[-1, 1], [0, 0]], '
                                   '"initial": [1, 0], "absorbing": "last"}',
                                   '{"labels": ["A"], "generator": [[0], [1, 2]], '
-                                  '"initial": [1], "absorbing": 0}'],
+                                  '"initial": [1], "absorbing": 0}', "[" * 100_000],
                          ids=["empty_object", "list", "not_json", "missing_fields",
-                              "absorbing_not_int", "ragged_generator"])
+                              "absorbing_not_int", "ragged_generator", "deeply_nested"])
 def test_unreadable_ctmc_json_is_malformed(text):
     with pytest.raises(MalformedModel):
         parse_ctmc_json(text)

@@ -183,3 +183,19 @@ def test_json_round_trip():
 def test_model_text_not_json_is_malformed(text):
     with pytest.raises(MalformedModel):
         model_from_json(text)
+
+
+@pytest.mark.parametrize("text", ['"text"', "[]", '{"branches": [1]}',
+                                  '{"branches": [{"prob": "x"}]}', "[" * 100_000],
+                         ids=["string", "list", "number_branch", "text_prob", "deeply_nested"])
+def test_model_data_of_another_shape_is_malformed(text):
+    with pytest.raises(MalformedModel, match="malformed model data: [A-Za-z]+Error"):
+        model_from_json(text)
+
+
+def test_json_round_trip_is_exact_over_atom_short_and_long_branches():
+    m = new_model([Branch(0.1, ()), Branch(0.3, (0.7, 1.0 / 3.0)),
+                   Branch(0.6, tuple(1.1 ** k for k in range(11)))])
+    back = model_from_json(model_to_json(m))
+    assert back == m
+    assert [b.length for b in back.branches] == [0, 2, 11]
