@@ -31,14 +31,9 @@ def _model_hash(model) -> str:
 
 
 def _read_data_csv(path: str) -> list[float]:
-    values = []
     with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            values.append(float(line))
-    return values
+        lines = (line.strip() for line in f)
+        return [float(line) for line in lines if line and not line.startswith("#")]
 
 
 def _print_fit_diagnostics(fit: fitting.FitResult) -> None:

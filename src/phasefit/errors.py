@@ -76,6 +76,10 @@ class NegativeObservation(PhasefitError):
     """Observations must be nonnegative."""
 
 
+class NonFiniteObservation(PhasefitError):
+    """Observations must be finite: NaN and infinities are refused."""
+
+
 # --- sampling ---
 
 class NegativeCount(PhasefitError):

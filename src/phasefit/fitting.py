@@ -21,6 +21,7 @@ from .errors import (
     DomainError,
     InsufficientData,
     NegativeObservation,
+    NonFiniteObservation,
     NonPositiveInput,
     POutOfRange,
 )
@@ -195,12 +196,12 @@ def sauer_chandy(mu: float, sigma2: float) -> FitResult:
 
 
 def sample_stats(data) -> MomentSummary:
-    """Mean and unbiased variance of nonnegative observations."""
+    """Mean and unbiased variance of finite, nonnegative observations."""
     xs = np.asarray(list(data), dtype=float)
     if xs.size < 2:
         raise InsufficientData("need at least 2 observations")
     if not np.all(np.isfinite(xs)):
-        raise NegativeObservation("observations must be finite")
+        raise NonFiniteObservation("observations must be finite")
     if np.any(xs < 0.0):
         raise NegativeObservation("observations must be nonnegative")
     return MomentSummary.from_mean_var(float(xs.mean()), float(xs.var(ddof=1)))

@@ -194,10 +194,7 @@ def to_phase_type(model: GeneralizedCoxModel) -> PhaseTypeRep:
     n = sum(lengths)
     rates = np.fromiter((r for b in chains for r in b.rates), float, n)
     alpha = np.zeros(n)
-    pos = 0
-    for b in chains:
-        alpha[pos] = b.prob
-        pos += b.length
+    alpha[np.cumsum((0,) + lengths)[:-1]] = [b.prob for b in chains]  # first stages
     return PhaseTypeRep(model.atom_weight, alpha, rates, lengths)
 
 
@@ -235,11 +232,18 @@ def model_to_json(model: GeneralizedCoxModel) -> str:
                                     for b in model.branches]})
 
 
+def _branch_from_json(b: dict) -> Branch:
+    prob, rates = b["prob"], b.get("rates", [])
+    # type(), not isinstance: a JSON true is a bool, which is an int
+    if type(rates) is not list or any(type(x) not in (int, float) for x in [prob, *rates]):
+        raise TypeError("prob must be a JSON number and rates a JSON list of numbers")
+    return Branch(prob, tuple(rates))
+
+
 def model_from_json(text: str) -> GeneralizedCoxModel:
     """Model from model_to_json's format; other text or data raises
     MalformedModel."""
     try:
-        return new_model(Branch(b["prob"], tuple(b.get("rates", ())))
-                         for b in json.loads(text)["branches"])
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        return new_model(map(_branch_from_json, json.loads(text)["branches"]))
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise MalformedModel(f"malformed model data: {type(exc).__name__}: {exc}") from exc

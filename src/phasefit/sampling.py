@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .errors import InsufficientData, NegativeCount
+from .errors import InsufficientData, MomentOverflow, NegativeCount, NonPositiveInput
 from .model import GeneralizedCoxModel
 
 GENERATOR_NAME = "pcg64"
@@ -79,10 +79,13 @@ def sample_n(model: GeneralizedCoxModel, state: SamplerState, n: int) -> np.ndar
                 block = stage_times.reshape(rows.size, b.length)
             else:
                 block = stage_times[starts[rows, None] + np.arange(b.length)]
-            block /= b.rates
-            # reduceat adds a0 + (a1 + ...), in partial sums from nine stages
-            # on; seeded draws depend on that order for L >= 3
-            out[lo + rows] = np.add.reduceat(block.ravel(), np.arange(0, block.size, b.length))
+            with np.errstate(over="ignore"):  # an inf draw raises MomentOverflow below
+                block /= b.rates
+                # reduceat adds a0 + (a1 + ...), in partial sums from nine stages
+                # on; seeded draws depend on that order for L >= 3
+                out[lo + rows] = np.add.reduceat(block.ravel(), np.arange(0, block.size, b.length))
+    if not np.all(np.isfinite(out)):
+        raise MomentOverflow("a draw exceeds the float range")
     return out
 
 
@@ -115,6 +118,8 @@ def empirical_check(model: GeneralizedCoxModel, n: int, seed: int,
     # the targets first: a model whose moments overflow is refused undrawn
     a_mean = analysis.mean(model) if expected_mean is None else expected_mean
     a_var = analysis.variance(model) if expected_variance is None else expected_variance
+    if not (0.0 <= a_mean < math.inf and 0.0 <= a_var < math.inf):
+        raise NonPositiveInput(f"targets must be finite and nonnegative, got {a_mean!r}, {a_var!r}")
     xs = sample_n(model, SamplerState(seed), n)
     m = float(xs.mean())
     s2 = float(xs.var(ddof=1))

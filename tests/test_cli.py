@@ -64,6 +64,16 @@ class TestFit:
         model = model_from_json(out)
         assert "achieved_mean=2.5" in err
 
+    @pytest.mark.parametrize("value, error", [("nan", "NonFiniteObservation"),
+                                              ("-inf", "NonFiniteObservation"),
+                                              ("-1.0", "NegativeObservation")])
+    def test_fit_from_data_refuses_a_bad_observation(self, capsys, tmp_path, value, error):
+        path = tmp_path / "obs.csv"
+        path.write_text(f"1.0\n{value}\n3.0\n")
+        code, out, err = run_cli(capsys, "fit", "--data", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {error}: observations must be")
+
 
 def _write_model(capsys, tmp_path, mean, var):
     code, out, _ = run_cli(capsys, "fit", "--mean", str(mean), "--var", str(var))
@@ -205,6 +215,14 @@ class TestVerify:
         assert code == 1
         assert out.strip() == "FAIL"
 
+    @pytest.mark.parametrize("target", [("--expect-mean", "nan"), ("--expect-var", "-1"),
+                                        ("--expect-mean", "inf")], ids=["nan", "negative", "inf"])
+    def test_target_not_finite_or_negative_exits_2(self, capsys, tmp_path, target):
+        path = _write_model(capsys, tmp_path, 1, 0.4)
+        code, out, err = run_cli(capsys, "verify", "--model", str(path), "-n", "100", *target)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: NonPositiveInput: targets must be finite and nonnegative")
+
     def test_small_n_exits_2(self, capsys, tmp_path):
         path = _write_model(capsys, tmp_path, 1, 0.4)
         code, _, err = run_cli(capsys, "verify", "--model", str(path),
@@ -314,6 +332,25 @@ def test_moment_overflow_exits_2(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, *argv, str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: MomentOverflow")
+
+
+# each draw at rate 1e-320 passes the float range, and about 16 in 100 at 1e-308
+INFINITE_DRAW_COMMANDS = [
+    (1e-320, ("sample", "-n", "100", "--seed", "0", "--model")),
+    (1e-308, ("sample", "-n", "100", "--seed", "0", "--model")),
+    (1.0, ("simulate", "--arrival-rate", "1e-320", "--customers", "100", "--service")),
+]
+
+
+@pytest.mark.parametrize("rate, argv", INFINITE_DRAW_COMMANDS,
+                         ids=["sample_rate_1e-320", "sample_rate_1e-308", "simulate_arrival_rate_1e-320"])
+@pytest.mark.filterwarnings("error")
+def test_draws_past_float_range_exit_2(capsys, tmp_path, rate, argv):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"branches": [{"prob": 1.0, "rates": [rate]}]}))
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: MomentOverflow: a draw exceeds the float range\n"
 
 
 @pytest.mark.filterwarnings("error")

@@ -21,6 +21,7 @@ from phasefit.errors import (
     DomainError,
     InsufficientData,
     NegativeObservation,
+    NonFiniteObservation,
     NonPositiveInput,
     PhasefitError,
     POutOfRange,
@@ -310,3 +311,6 @@ class TestSampleStats:
             sample_stats([1.0])
         with pytest.raises(NegativeObservation):
             sample_stats([1.0, -0.5])
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(NonFiniteObservation):
+                sample_stats([1.0, bad])

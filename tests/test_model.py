@@ -186,8 +186,13 @@ def test_model_text_not_json_is_malformed(text):
 
 
 @pytest.mark.parametrize("text", ['"text"', "[]", '{"branches": [1]}',
-                                  '{"branches": [{"prob": "x"}]}', "[" * 100_000],
-                         ids=["string", "list", "number_branch", "text_prob", "deeply_nested"])
+                                  '{"branches": [{"prob": "x"}]}', "[" * 100_000,
+                                  '{"branches": [{"prob": 1, "rates": "12"}]}',
+                                  '{"branches": [{"prob": true, "rates": [1.0]}]}',
+                                  '{"branches": [{"prob": 1, "rates": [true]}]}',
+                                  '{"branches": [{"prob": 1, "rates": [1%s]}]}' % ("0" * 400)],
+                         ids=["string", "list", "number_branch", "text_prob", "deeply_nested",
+                              "text_rates", "bool_prob", "bool_rate", "integer_past_float_range"])
 def test_model_data_of_another_shape_is_malformed(text):
     with pytest.raises(MalformedModel, match="malformed model data: [A-Za-z]+Error"):
         model_from_json(text)
