@@ -111,29 +111,27 @@ def summarize(model: GeneralizedCoxModel) -> MomentSummary:
     return MomentSummary.from_mean_var(mean(model), variance(model))
 
 
-def _neg_subgen_solve(rep: PhaseTypeRep, b: np.ndarray) -> np.ndarray:
-    """Solve (-T) x = b exploiting the per-branch upper-bidiagonal blocks.
-
-    Within a chain, row k reads lambda_k x_k - lambda_k x_{k+1} = b_k, so
-    x_k = sum_{i>=k} b_i / lambda_i, a suffix cumulative sum per block.
-    """
-    x = b / rep.rates
-    for (block,) in rep.blocks(x):
-        block[:] = block[::-1].cumsum()[::-1]
-    return x
-
-
 @_within_float_range
 def moment_k(model: GeneralizedCoxModel, k: int) -> float:
-    """k-th raw moment, k! * alpha (-T)^{-k} 1 on the phase-type form."""
+    """k-th raw moment. A branch's stages are independent exponentials, so its
+    E[T^k] / k! is the complete homogeneous symmetric polynomial h_k of its stage
+    means x; Newton's identities n h_n = sum_{j<=n} s_j h_{n-j} give it from positive
+    power sums s_j = sum x^j (Macdonald, Symmetric Functions and Hall Polynomials, I.2)."""
     if k < 1:
         raise NonPositiveInput("moment order must be >= 1")
+    k_factorial = float(math.factorial(k))  # past k = 170 an OverflowError, before any work
     rep = to_phase_type(model)
-    v = np.ones(rep.n)
+    terms = []
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: MomentOverflow
-        for _ in range(k):
-            v = _neg_subgen_solve(rep, v)
-        return float(math.factorial(k) * rep.alpha @ v)
+        for alpha, rates in rep.blocks(rep.alpha, rep.rates):
+            xj = x = 1.0 / rates
+            s, h = [], [1.0]
+            for n in range(1, k + 1):
+                s.append(float(xj.sum()))  # pairwise: s_n
+                xj = xj * x
+                h.append(math.fsum(s[j] * h[n - 1 - j] for j in range(n)) / n)
+            terms.append(alpha[0] * h[k])
+    return k_factorial * math.fsum(terms)
 
 
 def _nlogn_minus_logfact(ns: np.ndarray) -> np.ndarray:

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, sampling
-from .errors import NegativeCount, NonPositiveInput, UnstableSystem, UnstableSystemWarning
+from .errors import (MomentOverflow, NegativeCount, NonPositiveInput, UnstableSystem,
+                     UnstableSystemWarning)
 from .model import GeneralizedCoxModel, exponential_model
 
 WARMUP_FRACTION = 0.1
@@ -114,11 +115,14 @@ def run_mph1(arrival_rate: float, service: GeneralizedCoxModel,
                       UnstableSystemWarning)
 
     arr_state, svc_state = sampling.split_seeds(seed, 2)
-    arrivals = np.cumsum(_draws(exponential_model(arrival_rate), arr_state, n_customers))
+    arrivals = _draws(exponential_model(arrival_rate), arr_state, n_customers)
     services = _draws(service, svc_state, n_customers)
-    last_arrival = arrivals[-1]  # _fifo_waits writes over arrivals
-    waits = _fifo_waits(arrivals, services)
-    last_departure = last_arrival + waits[-1] + services[-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: MomentOverflow
+        last_arrival = np.cumsum(arrivals, out=arrivals)[-1]  # _fifo_waits writes over arrivals
+        waits = _fifo_waits(arrivals, services)
+        last_departure = last_arrival + waits[-1] + services[-1]
+    if not math.isfinite(last_departure):
+        raise MomentOverflow("the last departure time exceeds the float range")
 
     cut = int(WARMUP_FRACTION * n_customers)
     mean_wait = float(waits[cut:].mean())

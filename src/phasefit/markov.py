@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import _within_float_range
 from .errors import MalformedModel, NonPositiveInput, NonPositiveRate, ReducibleChain
 from .model import GeneralizedCoxModel, to_phase_type
 
@@ -61,9 +62,11 @@ def exact_absorbing_ctmc(model: GeneralizedCoxModel) -> CtmcExport:
     directly on E; last stage of each branch exits to E at its own rate."""
     rep = to_phase_type(model)
     n = rep.n
+    states, succ = np.arange(n), np.arange(1, n + 1)
+    succ[np.cumsum(rep.block_lengths, dtype=int) - 1] = n  # a branch's last stage: E
     gen = np.zeros((n + 1, n + 1))
-    gen[:n, :n] = rep.subgen
-    gen[:n, n] = rep.exit_rates
+    gen[states, states] = -rep.rates
+    gen[states, succ] = rep.rates
     initial = np.concatenate([rep.alpha, [rep.atom0]])
     labels = tuple(f"B{j}.S{k}" for j, b in enumerate(model.branches, start=1)
                    for k in range(1, b.length + 1)) + ("E",)
@@ -110,6 +113,7 @@ def _check_absorbable(ctmc: CtmcExport) -> None:
         raise ReducibleChain(f"absorbing state unreachable from {missing}")
 
 
+@_within_float_range
 def absorption_time_moments(ctmc: CtmcExport, k: int) -> float:
     """k-th raw moment of the absorption time, k! a (-T)^{-k} 1 over the
     transient block."""
@@ -122,9 +126,10 @@ def absorption_time_moments(ctmc: CtmcExport, k: int) -> float:
     t_block = ctmc.generator[np.ix_(transient, transient)]
     a = ctmc.initial[transient]
     v = np.ones(len(transient))
-    for _ in range(k):
-        v = np.linalg.solve(-t_block, v)
-    return float(math.factorial(k) * a @ v)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: MomentOverflow
+        for _ in range(k):
+            v = np.linalg.solve(-t_block, v)
+        return float(math.factorial(k) * a @ v)
 
 
 def export_json(ctmc: CtmcExport) -> str:

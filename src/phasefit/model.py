@@ -145,9 +145,9 @@ def from_classical_cox(spec: ClassicalCoxSpec) -> GeneralizedCoxModel:
 class PhaseTypeRep:
     """Canonical analytic form: atom at zero, initial vector, stage rates.
 
-    The subgenerator is block-bidiagonal, one upper-bidiagonal block per
-    non-instantaneous branch, so it is stored as the flat stage ``rates`` in
-    state order plus the block sizes ``block_lengths``. Within a block,
+    The transient generator is block-bidiagonal, one upper-bidiagonal block
+    per non-instantaneous branch, so it is stored as the flat stage ``rates``
+    in state order plus the block sizes ``block_lengths``. Within a block,
     state k moves to k + 1 at rate ``rates[k]``; the last state of a block
     is absorbed at its own rate.
     """
@@ -175,14 +175,6 @@ class PhaseTypeRep:
         last = np.cumsum(self.block_lengths, dtype=int) - 1
         exits[last] = self.rates[last]
         return exits
-
-    @property
-    def subgen(self) -> np.ndarray:
-        """The dense n x n subgenerator T, built only for CTMC export."""
-        t = np.diag(-self.rates)
-        inner = np.flatnonzero(self.exit_rates == 0.0)  # states that move on
-        t[inner, inner + 1] = self.rates[inner]
-        return t
 
 
 def to_phase_type(model: GeneralizedCoxModel) -> PhaseTypeRep:

@@ -123,10 +123,10 @@ def empirical_check(model: GeneralizedCoxModel, n: int, seed: int,
     xs = sample_n(model, SamplerState(seed), n)
     m = float(xs.mean())
     s2 = float(xs.var(ddof=1))
-    centered = xs - m
-    m4 = float(np.mean(centered**4))
+    # the fourth moment in units of s2, so it is in range wherever s2 is
+    kurt = float(np.mean(((xs - m) ** 2 / s2) ** 2)) if s2 > 0.0 else 1.0
     se_mean = math.sqrt(s2 / n)
-    se_var = math.sqrt(max(m4 - s2 * s2, 0.0) / n)
+    se_var = s2 * math.sqrt(max(kurt - 1.0, 0.0) / n)
     return EmpiricalReport(
         n=n,
         sample_mean=m,

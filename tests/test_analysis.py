@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -301,6 +302,16 @@ def test_moment_k_huge_erlang_in_linear_memory():
     want = [math.prod(range(n, n + k)) / n**k for k in range(1, 5)]
     np.testing.assert_allclose(got, want, rtol=1e-10)
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("n", [10**4, 10**5, 10**6])
+def test_moment_k_of_long_erlangs_is_exact(n):
+    # Erlang-n with rate n: E[T^k] = n (n+1) ... (n+k-1) / rate^k, in rationals
+    rate = float(n)
+    m = new_model([Branch(1.0, (rate,) * n)])
+    for k in range(1, 5):
+        want = Fraction(math.prod(range(n, n + k))) / Fraction(rate) ** k
+        assert abs(Fraction(moment_k(m, k)) - want) <= 1e-14 * want
 
 
 def test_cdf_memory_is_cache_sized():

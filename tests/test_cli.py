@@ -223,6 +223,17 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err.startswith("error: NonPositiveInput: targets must be finite and nonnegative")
 
+    @pytest.mark.filterwarnings("error")
+    def test_wide_scale_model_passes(self, capsys, tmp_path):
+        # mean 1e80, variance 1e160: the fourth central moment, 9e320, is past
+        # the float range, and once gave se_variance=nan and a false FAIL
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"branches": [{"prob": 1.0, "rates": [1e-80]}]}))
+        code, out, err = run_cli(capsys, "verify", "--model", str(path), "-n", "100000")
+        assert (code, out) == (0, "PASS\n")
+        se_variance = float(err.split("se_variance=")[1].split()[0])
+        assert 0.0 < se_variance < 1e158
+
     def test_small_n_exits_2(self, capsys, tmp_path):
         path = _write_model(capsys, tmp_path, 1, 0.4)
         code, _, err = run_cli(capsys, "verify", "--model", str(path),
@@ -256,6 +267,21 @@ class TestSimulate:
             key, value = line.split("=", 1)
             if value not in ("True", "False"):
                 float(value)  # also parses an int
+
+    # rate-1 service at a 1e306 mean gap: the arrival times pass the float
+    # range; rate-1e-306 service at rho = 10: the work in the system does
+    @pytest.mark.parametrize("rate, arrival_rate, customers", [
+        (1.0, "1e-306", "2000"), (1e-306, "1e-305", "200")], ids=["arrivals", "services"])
+    @pytest.mark.filterwarnings("ignore::phasefit.errors.UnstableSystemWarning")
+    @pytest.mark.filterwarnings("error")
+    def test_times_past_float_range_exit_2(self, capsys, tmp_path, rate, arrival_rate,
+                                           customers):
+        path = tmp_path / "service.json"
+        path.write_text(json.dumps({"branches": [{"prob": 1.0, "rates": [rate]}]}))
+        code, out, err = run_cli(capsys, "simulate", "--service", str(path),
+                                 "--arrival-rate", arrival_rate, "--customers", customers)
+        assert (code, out) == (2, "")
+        assert err == "error: MomentOverflow: the last departure time exceeds the float range\n"
 
 
 def test_pipeline_fit_sample_verify(capsys, tmp_path):

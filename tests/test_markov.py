@@ -18,7 +18,7 @@ from phasefit import (
     parse_ctmc_json,
     sauer_chandy,
 )
-from phasefit.errors import MalformedModel, NonPositiveRate, ReducibleChain
+from phasefit.errors import MalformedModel, MomentOverflow, NonPositiveRate, ReducibleChain
 from phasefit.markov import CtmcExport
 from tests.test_analysis import random_model
 
@@ -150,6 +150,15 @@ class TestAbsorptionMoments:
         c = exact_absorbing_ctmc(fit.model)
         assert absorption_time_moments(c, 1) == pytest.approx(1.0, rel=1e-10)
         assert absorption_time_moments(c, 2) == pytest.approx(5.0, rel=1e-10)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rate, k", [(1e-200, 2), (1e-10, 171)])
+    def test_moment_past_float_range_raises(self, rate, k):
+        m = new_model([Branch(1.0, (rate,))])
+        with pytest.raises(MomentOverflow):
+            absorption_time_moments(exact_absorbing_ctmc(m), k)
+        with pytest.raises(MomentOverflow):
+            moment_k(m, k)
 
     def test_reducible_chain_detected(self):
         # two transient states cycling between each other, E unreachable

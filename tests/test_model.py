@@ -8,6 +8,7 @@ from phasefit import (
     Branch,
     ClassicalCoxSpec,
     cox_routing_feasible,
+    exact_absorbing_ctmc,
     from_classical_cox,
     laplace,
     model_from_json,
@@ -95,10 +96,11 @@ class TestFromClassicalCox:
 
 class TestToPhaseType:
     def test_single_exponential(self):
-        rep = to_phase_type(new_model([Branch(1.0, (3.0,))]))
+        m = new_model([Branch(1.0, (3.0,))])
+        rep = to_phase_type(m)
         assert rep.atom0 == 0.0
         assert rep.alpha.tolist() == [1.0]
-        assert rep.subgen.tolist() == [[-3.0]]
+        assert exact_absorbing_ctmc(m).generator[:-1, :-1].tolist() == [[-3.0]]
 
     def test_simplest_hyper_atom(self):
         rep = to_phase_type(new_model([Branch(0.4, (0.4,)), Branch(0.6, ())]))
@@ -112,8 +114,9 @@ class TestToPhaseType:
         assert rep.block_lengths == (2, 1)
         # absorption row sums equal the last-stage rates
         assert rep.exit_rates.tolist() == [0.0, 2.0, 3.0]
-        assert rep.subgen[0, 1] == 1.0
-        assert rep.subgen[1, 0] == 0.0
+        transient = exact_absorbing_ctmc(m).generator[:-1, :-1]
+        assert transient[0, 1] == 1.0
+        assert transient[1, 0] == 0.0
 
     @given(
         probs=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4),

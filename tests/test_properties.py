@@ -4,6 +4,7 @@ magnitudes."""
 import math
 import sys
 
+import mpmath
 import numpy as np
 from hypothesis import assume, event, given, settings, strategies as st
 from scipy import linalg
@@ -109,6 +110,29 @@ def test_ctmc_exports_build_round_trip_and_match_moments(model, log_factor):
                             rel_tol=REL)
 
 
+def _mp_moment(model, k):
+    """k! sum_j p_j h_k(x_j) at 40 digits, h_k of the stage means by the
+    recurrence h_k(x_1..x_m) = h_k(x_1..x_{m-1}) + x_m h_{k-1}(x_1..x_m)."""
+    with mpmath.workdps(40):
+        total = mpmath.mpf(0)
+        for b in model.branches:
+            if b.instantaneous:
+                continue
+            h = [mpmath.mpf(1)] + [mpmath.mpf(0)] * k
+            for rate in b.rates:
+                x = 1 / mpmath.mpf(rate)
+                for i in range(1, k + 1):
+                    h[i] += x * h[i - 1]
+            total += b.prob * h[k]
+        return float(mpmath.factorial(k) * total)
+
+
+@settings(max_examples=200)
+@given(models(decades=4.0), st.integers(1, 8))
+def test_moment_k_matches_mpmath(model, k):
+    assert math.isclose(moment_k(model, k), _mp_moment(model, k), rel_tol=1e-13)
+
+
 # Rates within one decade of 1 keep q t, the uniformization term count, in
 # the thousands at six means, so the property runs in a few seconds.
 @settings(max_examples=100)
@@ -123,7 +147,8 @@ def test_cdf_and_pdf_match_the_matrix_exponential(model):
     # and 1 + 2.3e-14); an orthogonal change of basis makes the matrix dense
     rot = np.linalg.qr(np.random.default_rng(rep.n).normal(size=(rep.n, rep.n)))[0]
     a, ones = rep.alpha @ rot.T, rot @ np.ones(rep.n)
-    want = [1.0 - a @ linalg.expm(rot @ rep.subgen @ rot.T * t) @ ones for t in ts]
+    t_mat = exact_absorbing_ctmc(model).generator[:-1, :-1]
+    want = [1.0 - a @ linalg.expm(rot @ t_mat @ rot.T * t) @ ones for t in ts]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     # cdf is clipped to [0, 1]; monotone up to that accuracy
     assert np.all((got >= 0.0) & (got <= 1.0)) and np.all(np.diff(got) >= -1e-12)
