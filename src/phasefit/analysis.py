@@ -119,7 +119,7 @@ def moment_k(model: GeneralizedCoxModel, k: int) -> float:
     power sums s_j = sum x^j (Macdonald, Symmetric Functions and Hall Polynomials, I.2)."""
     if k < 1:
         raise NonPositiveInput("moment order must be >= 1")
-    k_factorial = float(math.factorial(k))  # past k = 170 an OverflowError, before any work
+    k_factorial, e = _factorial(k)
     rep = to_phase_type(model)
     terms = []
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: MomentOverflow
@@ -131,7 +131,17 @@ def moment_k(model: GeneralizedCoxModel, k: int) -> float:
                 xj = xj * x
                 h.append(math.fsum(s[j] * h[n - 1 - j] for j in range(n)) / n)
             terms.append(alpha[0] * h[k])
-    return k_factorial * math.fsum(terms)
+    total = math.fsum(terms)
+    if e and total < np.finfo(float).tiny and terms:  # h_k underflowed: k! times it is unknown
+        raise MomentOverflow(f"moment_k({k}) leaves the float range")
+    return math.ldexp(k_factorial * total, e)
+
+
+def _factorial(k: int) -> tuple[float, int]:
+    """k! = f 2^e, f a float: float(k!) and e = 0 up to k = 170, no OverflowError past it."""
+    big = math.factorial(k)
+    e = max(big.bit_length() - 1023, 0)
+    return big / (1 << e), e
 
 
 def _nlogn_minus_logfact(ns: np.ndarray) -> np.ndarray:

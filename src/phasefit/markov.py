@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _within_float_range
-from .errors import MalformedModel, NonPositiveInput, NonPositiveRate, ReducibleChain
+from .analysis import _factorial, _within_float_range
+from .errors import MalformedModel, MomentOverflow, NonPositiveInput, NonPositiveRate, ReducibleChain
 from .model import GeneralizedCoxModel, to_phase_type
 
 # A row may sum to this fraction of its diagonal: the routing row of rate
@@ -126,10 +126,13 @@ def absorption_time_moments(ctmc: CtmcExport, k: int) -> float:
     t_block = ctmc.generator[np.ix_(transient, transient)]
     a = ctmc.initial[transient]
     v = np.ones(len(transient))
+    k_factorial, e = _factorial(k)
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: MomentOverflow
         for _ in range(k):
             v = np.linalg.solve(-t_block, v)
-        return float(math.factorial(k) * a @ v)
+        if e and v.min() < np.finfo(float).tiny:  # v underflowed: k! times it is unknown
+            raise MomentOverflow(f"absorption_time_moments({k}) leaves the float range")
+        return math.ldexp(float(k_factorial * a @ v), e)
 
 
 def export_json(ctmc: CtmcExport) -> str:

@@ -7,7 +7,11 @@ always finite. sample_n is the one sampler; a single draw is sample_n(., 1).
 
 from __future__ import annotations
 
+import copy
+import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +21,12 @@ from .errors import InsufficientData, MomentOverflow, NegativeCount, NonPositive
 from .model import GeneralizedCoxModel
 
 GENERATOR_NAME = "pcg64"
-# Draws per sample_n chunk; its stage-uniform buffer holds at most CHUNK
-# times the longest branch's stage count.
-CHUNK = 1 << 16
+# Stage uniforms per sample_n chunk: one 256 KiB buffer, reused chunk after chunk.
+CHUNK = 1 << 15
+# A sample_n call needing more stage uniforms than this is split over WORKERS
+# threads, one per CPU the process may run on.
+PARALLEL_MIN = 1 << 18
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 # empirical_check passes a moment within this many standard errors.
 N_SE = 4.0
 
@@ -27,8 +34,8 @@ N_SE = 4.0
 class SamplerState:
     """Deterministic seeded uniform stream on (0, 1].
 
-    Single-owner mutable; parallel work should use :func:`split_seeds` to
-    derive independent streams.
+    Single-owner mutable. :func:`split_seeds` derives independent streams;
+    sample_n splits this one stream, jumping a copy ahead to each part.
     """
 
     def __init__(self, seed: int):
@@ -36,10 +43,18 @@ class SamplerState:
         self.counter = 0
         self._rng = np.random.Generator(np.random.PCG64(self.seed))
 
-    def uniforms(self, n: int) -> np.ndarray:
-        """n uniforms on (0, 1]."""
+    def uniforms(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """n uniforms on (0, 1], written to out[:n] when out is given."""
         self.counter += n
-        return 1.0 - self._rng.random(n)
+        u = self._rng.random(n, out=None if out is None else out[:n])
+        return np.subtract(1.0, u, out=u)
+
+    def skip(self, n: int) -> SamplerState:
+        """Pass over the next n uniforms in O(log n), PCG64 being an LCG underneath;
+        returns self."""
+        self.counter += n
+        self._rng.bit_generator.advance(n)
+        return self
 
 
 def split_seeds(seed: int, n: int) -> list[SamplerState]:
@@ -49,44 +64,72 @@ def split_seeds(seed: int, n: int) -> list[SamplerState]:
 
 
 def sample_n(model: GeneralizedCoxModel, state: SamplerState, n: int) -> np.ndarray:
-    """n draws, vectorized.
-
-    Consumes n branch-selection uniforms first, then the per-stage uniforms
-    of each draw consecutively, in draw order.
-
-    The draws are made CHUNK at a time, each chunk taking the next stage
-    uniforms of that layout, so chunking changes neither the stream, nor
-    state.counter, nor any draw; it only bounds the working memory.
-    """
+    """n draws, vectorized: n branch-selection uniforms first (skipped for one branch),
+    then each draw's stage uniforms in draw order. Helper threads fill the parts after the
+    first from copies of the stream jumped ahead, so no stream, counter or draw changes."""
     if n < 0:
         raise NegativeCount(f"draw count must be nonnegative, got {n}")
-    cum = np.cumsum([b.prob for b in model.branches])
-    idx = np.minimum(np.searchsorted(cum, state.uniforms(n), side="left"), len(cum) - 1)
-    lengths = np.array([b.length for b in model.branches])
-    out = np.zeros(n)
-    for lo in range(0, n, CHUNK):
-        chunk_idx = idx[lo:lo + CHUNK]
-        draw_len = lengths[chunk_idx]
-        stage_times = state.uniforms(int(draw_len.sum()))
-        np.log(stage_times, out=stage_times)
-        np.negative(stage_times, out=stage_times)
-        starts = np.cumsum(draw_len) - draw_len
-        for j, b in enumerate(model.branches):
-            if b.length == 0:
-                continue
-            rows = np.flatnonzero(chunk_idx == j)
-            if rows.size == len(chunk_idx):
-                block = stage_times.reshape(rows.size, b.length)
-            else:
-                block = stage_times[starts[rows, None] + np.arange(b.length)]
-            with np.errstate(over="ignore"):  # an inf draw raises MomentOverflow below
-                block /= b.rates
+    branches = model.branches
+    if len(branches) == 1:  # idx: each draw's branch; offsets: stage uniforms before each draw
+        idx, offsets = None, np.arange(n + 1, dtype=np.int64) * branches[0].length
+        state.skip(n)
+    else:  # idx = min(searchsorted(cum, u), B - 1), a cut at a time; accumulate sums as cumsum
+        u, idx = state.uniforms(n), np.zeros(n, dtype=np.min_scalar_type(len(branches)))
+        for cut in itertools.accumulate(b.prob for b in branches[:-1]):
+            idx += u > cut
+        del u
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.array([b.length for b in branches])[idx], out=offsets[1:])
+    total, out, errors = int(offsets[-1]), np.zeros(n), []
+    # (j, negated stage rates) of each branch with stages: ln U / -rate has the bits of -ln U / rate
+    stages = [(j, np.negative(b.rates)) for j, b in enumerate(branches) if b.length]
+    parts = WORKERS if total > PARALLEL_MIN else 1
+    # part p: draws cuts[p]..cuts[p+1]-1, about total / parts stage uniforms each
+    cuts = [0] + [int(np.searchsorted(offsets, total * p // parts)) for p in range(1, parts)] + [n]
+    twins = [copy.deepcopy(state).skip(int(offsets[c])) for c in cuts[1:-1]]  # at parts 1, 2, ...
+    threads = [threading.Thread(target=_fill, args=(twin, lo, hi, stages, idx, offsets, out, errors))
+               for twin, lo, hi in zip(twins, cuts[1:], cuts[2:])]
+    try:
+        for t in threads:
+            t.start()
+        _fill(state, 0, cuts[1], stages, idx, offsets, out, errors)
+    finally:
+        for t in threads:
+            if t.ident is not None:  # started; one that failed to start cannot be joined
+                t.join()
+    if errors:
+        raise errors[0]
+    state.skip(total - int(offsets[cuts[1]]))
+    return out
+
+
+@np.errstate(over="ignore")  # an inf draw raises MomentOverflow below
+def _fill(state, lo: int, hi: int, stages, idx, offsets, out, errors: list) -> None:
+    """Draws lo..hi-1 of sample_n from a state at their first stage uniform, a chunk of at
+    most CHUNK stage uniforms (or one draw) at a time. Puts what it raises on errors."""
+    try:
+        buf = np.empty(min(offsets[hi] - offsets[lo], max([CHUNK] + [len(r) for _, r in stages])))
+        while lo < hi:
+            top = min(hi, max(int(np.searchsorted(offsets, offsets[lo] + CHUNK, "right")) - 1, lo + 1))
+            m = int(offsets[top] - offsets[lo])
+            u = np.log(state.uniforms(m, buf), out=buf[:m])
+            for j, r in stages:
+                rows = slice(None) if idx is None else np.flatnonzero(idx[lo:top] == j)
+                if idx is None or rows.size == top - lo:  # every draw of the chunk is on branch j
+                    block = u.reshape(-1, len(r))
+                elif rows.size:
+                    block = u[(offsets[lo:top][rows] - offsets[lo])[:, None] + np.arange(len(r))]
+                else:
+                    continue
+                np.divide(block, r, out=block)
                 # reduceat adds a0 + (a1 + ...), in partial sums from nine stages
                 # on; seeded draws depend on that order for L >= 3
-                out[lo + rows] = np.add.reduceat(block.ravel(), np.arange(0, block.size, b.length))
-    if not np.all(np.isfinite(out)):
-        raise MomentOverflow("a draw exceeds the float range")
-    return out
+                out[lo:top][rows] = np.add.reduceat(block.ravel(), np.arange(0, block.size, len(r)))
+            if not np.isfinite(out[lo:top]).all():
+                raise MomentOverflow("a draw exceeds the float range")
+            lo = top
+    except Exception as exc:  # sample_n raises it in the calling thread, once all are done
+        errors.append(exc)
 
 
 @dataclass(frozen=True)
@@ -121,10 +164,13 @@ def empirical_check(model: GeneralizedCoxModel, n: int, seed: int,
     if not (0.0 <= a_mean < math.inf and 0.0 <= a_var < math.inf):
         raise NonPositiveInput(f"targets must be finite and nonnegative, got {a_mean!r}, {a_var!r}")
     xs = sample_n(model, SamplerState(seed), n)
-    m = float(xs.mean())
-    s2 = float(xs.var(ddof=1))
-    # the fourth moment in units of s2, so it is in range wherever s2 is
-    kurt = float(np.mean(((xs - m) ** 2 / s2) ** 2)) if s2 > 0.0 else 1.0
+    # moments of xs / 2^p, p its largest draw's binary exponent, then scaled back:
+    # exact, and in range wherever s2 is (the fourth moment in units of s2)
+    p = math.frexp(float(xs.max()))[1]
+    ys = np.ldexp(xs, -p)
+    m, s2 = float(ys.mean()), float(ys.var(ddof=1))
+    kurt = float(np.mean(((ys - m) ** 2 / s2) ** 2)) if s2 > 0.0 else 1.0
+    m, s2 = math.ldexp(m, p), math.ldexp(s2, 2 * p)
     se_mean = math.sqrt(s2 / n)
     se_var = s2 * math.sqrt(max(kurt - 1.0, 0.0) / n)
     return EmpiricalReport(

@@ -525,6 +525,18 @@ def test_moment_past_float_range_raises(moment):
 
 
 @pytest.mark.filterwarnings("error")
+def test_moment_order_past_170():
+    # 171! passes the float range; 171!/2^171 = 4.1e257 does not
+    want = Fraction(math.factorial(171), 2**171)
+    assert abs(Fraction(moment_k(exponential_model(2.0), 171)) - want) <= 1e-13 * want
+    assert moment_k(new_model([Branch(1.0, ())]), 200) == 0.0
+    with pytest.raises(MomentOverflow):
+        moment_k(exponential_model(1.0), 171)  # 171! itself
+    with pytest.raises(MomentOverflow):
+        moment_k(exponential_model(2.0), 1100)  # 2^-1100 underflows on the way
+
+
+@pytest.mark.filterwarnings("error")
 def test_higher_moment_past_float_range_raises():
     m = new_model([Branch(1.0, (1e-160,))])
     assert moment_k(m, 1) == pytest.approx(1e160)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -386,6 +387,28 @@ def test_verify_refuses_overflow_before_drawing(capsys, tmp_path):
     code, out, err = run_cli(capsys, "verify", "--model", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: MomentOverflow")
+
+
+@pytest.mark.filterwarnings("error")
+def test_moments_past_order_170(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"branches": [{"prob": 1.0, "rates": [2.0]}]}))
+    code, out, err = run_cli(capsys, "moments", "--model", str(path), "-k", "171")
+    assert (code, err) == (0, "")
+    k, value = out.splitlines()[-1].split("\t")
+    assert k == "171"
+    assert float(value) == pytest.approx(math.factorial(171) / 2**171, rel=1e-13)
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_variance_near_the_float_range(capsys, tmp_path):
+    # mean 1.25e153, variance 1.56e306: the squared deviations sum past 1e308
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"branches": [{"prob": 1.0, "rates": [8e-154]}]}))
+    code, out, err = run_cli(capsys, "verify", "--model", str(path), "-n", "100000")
+    assert (code, out) == (0, "PASS\n")
+    fields = dict(f.split("=") for f in err.split())  # the report goes to stderr
+    assert math.isfinite(float(fields["sample_variance"]))
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -159,6 +160,15 @@ class TestAbsorptionMoments:
             absorption_time_moments(exact_absorbing_ctmc(m), k)
         with pytest.raises(MomentOverflow):
             moment_k(m, k)
+
+    @pytest.mark.filterwarnings("error")
+    def test_moment_order_past_170(self):
+        # 171! passes the float range; 171!/2^171 = 4.1e257 does not
+        c = exact_absorbing_ctmc(exponential_model(2.0))
+        want = math.factorial(171) / 2**171
+        assert absorption_time_moments(c, 171) == pytest.approx(want, rel=1e-13)
+        with pytest.raises(MomentOverflow):
+            absorption_time_moments(c, 1100)  # 2^-1100 underflows on the way
 
     def test_reducible_chain_detected(self):
         # two transient states cycling between each other, E unreachable

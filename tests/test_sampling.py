@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,6 +10,7 @@ from scipy import stats
 
 from phasefit import (
     Branch,
+    sampling,
     SamplerState,
     cdf,
     empirical_check,
@@ -43,10 +46,13 @@ class TestSamplerState:
 
 
 def _fixed_uniforms(u: float) -> SamplerState:
+    # sample_n takes its stage uniforms into a buffer, through uniforms(n, out)
     class Fixed(SamplerState):
-        def uniforms(self, n):
+        def uniforms(self, n, out=None):
             self.counter += n
-            return np.full(n, u)
+            out = np.empty(n) if out is None else out[:n]
+            out[:] = u
+            return out
 
     return Fixed(0)
 
@@ -146,6 +152,20 @@ class TestEmpiricalCheck:
         analytic_of_good = 1.0
         assert abs(rep.sample_mean - analytic_of_good) > 4 * rep.se_mean
 
+    @pytest.mark.filterwarnings("error")
+    def test_variance_near_the_float_range(self):
+        # mean 1.25e153, variance 1.56e306: the squared deviations sum past 1e308
+        rep = empirical_check(exponential_model(8e-154), 100_000, seed=0)
+        assert rep.passed
+        assert rep.sample_variance == pytest.approx(1.5625e306, rel=0.05)
+        assert math.isfinite(rep.se_variance)
+
+    def test_scaling_keeps_ordinary_moments_exact(self):
+        m = fit_two_moments(1.0, 4.0).model
+        xs = sample_n(m, SamplerState(14), 10_000)
+        rep = empirical_check(m, 10_000, seed=14)
+        assert (rep.sample_mean, rep.sample_variance) == (float(xs.mean()), float(xs.var(ddof=1)))
+
     def test_small_n_rejected(self):
         with pytest.raises(InsufficientData):
             empirical_check(exponential_model(1.0), 1, seed=0)
@@ -234,7 +254,10 @@ def test_sample_n_golden_stream(name, n):
 
 
 def test_sample_n_memory_bound():
-    # the unchunked kernel held six to eight arrays of n * 20 doubles: 801 MiB
+    # the unchunked kernel held six to eight arrays of n * 20 doubles: 801 MiB,
+    # and the kernel chunked by draws 47.5 MiB. Now the draws and their stage
+    # offsets (7.6 MiB each) and one CHUNK buffer (256 KiB) per thread: 16.6 MiB
+    # measured on two threads. The bound adds 1 MiB and any further buffers.
     tracemalloc.start()
     try:
         xs = sample_n(GOLDEN_MODELS["almost_erlang20"], SamplerState(1), 1_000_000)
@@ -242,4 +265,89 @@ def test_sample_n_memory_bound():
     finally:
         tracemalloc.stop()
     assert xs.shape == (1_000_000,) and np.all(xs > 0.0)
-    assert peak < 96 * 2**20
+    assert peak < 16.6 * 2**20 + (sampling.WORKERS - 2) * sampling.CHUNK * 8 + 2**20
+
+
+def _run(model, n, seed=103):
+    """sample_n's bytes, the counter after it and the next five uniforms."""
+    state = SamplerState(seed)
+    xs = sample_n(model, state, n)
+    return xs.tobytes(), state.counter, state.uniforms(5).tobytes()
+
+
+@pytest.fixture
+def small_kernel(monkeypatch):
+    """sample_n with chunks of `chunk` stage uniforms, and split across
+    `workers` threads past `parallel_min` of them. Threads switch every
+    microsecond meanwhile, so that parts interleave finely."""
+    def apply(chunk, parallel_min, workers):
+        monkeypatch.setattr(sampling, "CHUNK", chunk)
+        monkeypatch.setattr(sampling, "PARALLEL_MIN", parallel_min)
+        monkeypatch.setattr(sampling, "WORKERS", workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield apply
+    finally:
+        sys.setswitchinterval(interval)
+
+
+INVARIANCE_MODELS = {name: GOLDEN_MODELS[name]
+                     for name in ("mixed_0_2_11", "hyper_atom", "almost_erlang20")}
+INVARIANCE_MODELS["atom_only"] = new_model([Branch(1.0, ())])
+INVARIANCE_MODELS["two_atoms"] = new_model([Branch(0.4, ()), Branch(0.6, ())])
+# 0 to 3 draws, then counts on both sides of the chunk (5, 7 uniforms) and
+# part boundaries those settings give
+INVARIANCE_NS = (0, 1, 2, 3, 4, 5, 6, 7, 8, 13, 20, 21, 22, 39, 40, 41, 99, 100, 101)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("chunk", [5, 7])
+@pytest.mark.parametrize("name", sorted(INVARIANCE_MODELS))
+def test_sample_n_invariant_to_chunks_and_threads(small_kernel, name, chunk, workers):
+    model = INVARIANCE_MODELS[name]
+    want = {n: _run(model, n) for n in INVARIANCE_NS}
+    small_kernel(chunk, 3, workers)
+    for n in INVARIANCE_NS:
+        assert _run(model, n) == want[n], n
+
+
+@pytest.mark.parametrize("name,n", [(name, n) for name, n in sorted(GOLDEN) if n <= 65537])
+def test_golden_stream_on_small_chunks_and_three_threads(small_kernel, name, n):
+    small_kernel(61, 100, 3)
+    test_sample_n_golden_stream(name, n)
+
+
+@pytest.mark.filterwarnings("error")
+def test_helper_thread_overflow_reaches_caller(small_kernel):
+    # every draw at rate 1e-320 passes the float range, in every part
+    small_kernel(sampling.CHUNK, 1000, 3)
+    before = threading.active_count()
+    with pytest.raises(MomentOverflow):
+        sample_n(new_model([Branch(1.0, (1e-320,))]), SamplerState(0), 10_000)
+    assert threading.active_count() == before
+
+
+def test_helper_thread_failure_reaches_caller(small_kernel):
+    class HelperFails(SamplerState):
+        """Fails to draw once jumped ahead: only the copies for helper threads are,
+        as the caller's own state skips only the branch uniforms of one branch."""
+        skips = 0
+
+        def skip(self, n):
+            self.skips += 1
+            return super().skip(n)
+
+        def uniforms(self, n, out=None):
+            if self.skips > 1:
+                raise RuntimeError("a helper's part")
+            return super().uniforms(n, out)
+
+    small_kernel(sampling.CHUNK, 1000, 3)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="a helper's part"):
+        sample_n(GOLDEN_MODELS["almost_erlang3"], HelperFails(0), 10_000)
+    assert threading.active_count() == before
+    # with one thread the same state draws without failing
+    small_kernel(sampling.CHUNK, 1000, 1)
+    assert sample_n(GOLDEN_MODELS["almost_erlang3"], HelperFails(0), 10_000).shape == (10_000,)
