@@ -11,7 +11,6 @@ import copy
 import itertools
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +22,8 @@ from .model import GeneralizedCoxModel
 GENERATOR_NAME = "pcg64"
 # Stage uniforms per sample_n chunk: one 256 KiB buffer, reused chunk after chunk.
 CHUNK = 1 << 15
-# A sample_n call needing more stage uniforms than this is split over WORKERS
-# threads, one per CPU the process may run on.
+# sample_n splits a call into one part per PARALLEL_MIN stage uniforms, on at
+# most WORKERS threads: one per CPU the process may run on.
 PARALLEL_MIN = 1 << 18
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 # empirical_check passes a moment within this many standard errors.
@@ -50,8 +49,7 @@ class SamplerState:
         return np.subtract(1.0, u, out=u)
 
     def skip(self, n: int) -> SamplerState:
-        """Pass over the next n uniforms in O(log n), PCG64 being an LCG underneath;
-        returns self."""
+        """Pass over the next n uniforms in O(log n) (PCG64 is an LCG); returns self."""
         self.counter += n
         self._rng.bit_generator.advance(n)
         return self
@@ -73,63 +71,58 @@ def sample_n(model: GeneralizedCoxModel, state: SamplerState, n: int) -> np.ndar
     if len(branches) == 1:  # idx: each draw's branch; offsets: stage uniforms before each draw
         idx, offsets = None, np.arange(n + 1, dtype=np.int64) * branches[0].length
         state.skip(n)
-    else:  # idx = min(searchsorted(cum, u), B - 1), a cut at a time; accumulate sums as cumsum
+    else:  # idx = min(searchsorted(cum, u), B - 1) a cut at a time: faster below about 150
+        # branches (1e6 draws), in the smallest dtype; accumulate sums as cumsum does
         u, idx = state.uniforms(n), np.zeros(n, dtype=np.min_scalar_type(len(branches)))
         for cut in itertools.accumulate(b.prob for b in branches[:-1]):
             idx += u > cut
         del u
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.array([b.length for b in branches])[idx], out=offsets[1:])
-    total, out, errors = int(offsets[-1]), np.zeros(n), []
+    total, out = int(offsets[-1]), np.zeros(n)
     # (j, negated stage rates) of each branch with stages: ln U / -rate has the bits of -ln U / rate
     stages = [(j, np.negative(b.rates)) for j, b in enumerate(branches) if b.length]
-    parts = WORKERS if total > PARALLEL_MIN else 1
+    parts = max(1, min(WORKERS, total // PARALLEL_MIN))
     # part p: draws cuts[p]..cuts[p+1]-1, about total / parts stage uniforms each
     cuts = [0] + [int(np.searchsorted(offsets, total * p // parts)) for p in range(1, parts)] + [n]
-    twins = [copy.deepcopy(state).skip(int(offsets[c])) for c in cuts[1:-1]]  # at parts 1, 2, ...
-    threads = [threading.Thread(target=_fill, args=(twin, lo, hi, stages, idx, offsets, out, errors))
-               for twin, lo, hi in zip(twins, cuts[1:], cuts[2:])]
-    try:
-        for t in threads:
-            t.start()
-        _fill(state, 0, cuts[1], stages, idx, offsets, out, errors)
-    finally:
-        for t in threads:
-            if t.ident is not None:  # started; one that failed to start cannot be joined
-                t.join()
-    if errors:
-        raise errors[0]
-    state.skip(total - int(offsets[cuts[1]]))
+    if parts == 1:
+        _fill(state, 0, n, stages, idx, offsets, out)
+    else:  # imported here, as it imports logging (10 ms) that no other call needs
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(parts - 1) as pool:  # leaving the block joins every helper
+            helpers = [pool.submit(_fill, copy.deepcopy(state).skip(int(offsets[lo])), lo, hi,
+                                   stages, idx, offsets, out) for lo, hi in zip(cuts[1:], cuts[2:])]
+            _fill(state, 0, cuts[1], stages, idx, offsets, out)
+            for helper in helpers:
+                helper.result()  # raises what the helper raised
+        state.skip(total - int(offsets[cuts[1]]))  # past the helpers' parts
     return out
 
 
 @np.errstate(over="ignore")  # an inf draw raises MomentOverflow below
-def _fill(state, lo: int, hi: int, stages, idx, offsets, out, errors: list) -> None:
+def _fill(state, lo: int, hi: int, stages, idx, offsets, out) -> None:
     """Draws lo..hi-1 of sample_n from a state at their first stage uniform, a chunk of at
-    most CHUNK stage uniforms (or one draw) at a time. Puts what it raises on errors."""
-    try:
-        buf = np.empty(min(offsets[hi] - offsets[lo], max([CHUNK] + [len(r) for _, r in stages])))
-        while lo < hi:
-            top = min(hi, max(int(np.searchsorted(offsets, offsets[lo] + CHUNK, "right")) - 1, lo + 1))
-            m = int(offsets[top] - offsets[lo])
-            u = np.log(state.uniforms(m, buf), out=buf[:m])
-            for j, r in stages:
-                rows = slice(None) if idx is None else np.flatnonzero(idx[lo:top] == j)
-                if idx is None or rows.size == top - lo:  # every draw of the chunk is on branch j
-                    block = u.reshape(-1, len(r))
-                elif rows.size:
-                    block = u[(offsets[lo:top][rows] - offsets[lo])[:, None] + np.arange(len(r))]
-                else:
-                    continue
-                np.divide(block, r, out=block)
-                # reduceat adds a0 + (a1 + ...), in partial sums from nine stages
-                # on; seeded draws depend on that order for L >= 3
-                out[lo:top][rows] = np.add.reduceat(block.ravel(), np.arange(0, block.size, len(r)))
-            if not np.isfinite(out[lo:top]).all():
-                raise MomentOverflow("a draw exceeds the float range")
-            lo = top
-    except Exception as exc:  # sample_n raises it in the calling thread, once all are done
-        errors.append(exc)
+    most CHUNK stage uniforms (or one draw) at a time."""
+    buf = np.empty(min(offsets[hi] - offsets[lo], max([CHUNK] + [len(r) for _, r in stages])))
+    while lo < hi:
+        top = min(hi, max(int(np.searchsorted(offsets, offsets[lo] + CHUNK, "right")) - 1, lo + 1))
+        m = int(offsets[top] - offsets[lo])
+        u = np.log(state.uniforms(m, buf), out=buf[:m])
+        for j, r in stages:
+            rows = slice(None) if idx is None else np.flatnonzero(idx[lo:top] == j)
+            if idx is None or rows.size == top - lo:  # every draw of the chunk is on branch j
+                block = u.reshape(-1, len(r))
+            elif rows.size:
+                block = u[(offsets[lo:top][rows] - offsets[lo])[:, None] + np.arange(len(r))]
+            else:
+                continue
+            np.divide(block, r, out=block)
+            # reduceat adds a0 + (a1 + ...), in partial sums from nine stages
+            # on; seeded draws depend on that order for L >= 3
+            out[lo:top][rows] = np.add.reduceat(block.ravel(), np.arange(0, block.size, len(r)))
+        if not np.isfinite(out[lo:top]).all():
+            raise MomentOverflow("a draw exceeds the float range")
+        lo = top
 
 
 @dataclass(frozen=True)
@@ -170,6 +163,8 @@ def empirical_check(model: GeneralizedCoxModel, n: int, seed: int,
     ys = np.ldexp(xs, -p)
     m, s2 = float(ys.mean()), float(ys.var(ddof=1))
     kurt = float(np.mean(((ys - m) ** 2 / s2) ** 2)) if s2 > 0.0 else 1.0
+    if math.frexp(s2)[1] + 2 * p > 1024:  # s2 scaled back passes the float range
+        raise MomentOverflow("the sample variance exceeds the float range")
     m, s2 = math.ldexp(m, p), math.ldexp(s2, 2 * p)
     se_mean = math.sqrt(s2 / n)
     se_var = s2 * math.sqrt(max(kurt - 1.0, 0.0) / n)

@@ -235,6 +235,16 @@ class TestVerify:
         se_variance = float(err.split("se_variance=")[1].split()[0])
         assert 0.0 < se_variance < 1e158
 
+    @pytest.mark.filterwarnings("error")
+    def test_sample_variance_past_float_range_exits_2(self, capsys, tmp_path):
+        # variance 1.78e308, just under the float maximum; the sample variance
+        # of these 1000 draws is past it, and once raised a bare OverflowError
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"branches": [{"prob": 1.0, "rates": [7.5e-155]}]}))
+        code, out, err = run_cli(capsys, "verify", "--model", str(path), "-n", "1000", "--seed", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: MomentOverflow: the sample variance exceeds the float range\n"
+
     def test_small_n_exits_2(self, capsys, tmp_path):
         path = _write_model(capsys, tmp_path, 1, 0.4)
         code, _, err = run_cli(capsys, "verify", "--model", str(path),

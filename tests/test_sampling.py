@@ -318,6 +318,22 @@ def test_golden_stream_on_small_chunks_and_three_threads(small_kernel, name, n):
     test_sample_n_golden_stream(name, n)
 
 
+def test_parts_hold_at_least_parallel_min_uniforms(small_kernel):
+    # 2499 stage uniforms, 8 CPUs: two parts of at least 1000, so one helper,
+    # jumped ahead to draw 417 (uniform 1251) of 833
+    jumps = []
+
+    class Recording(SamplerState):
+        def skip(self, n):
+            jumps.append(n)
+            return super().skip(n)
+
+    want = sample_n(GOLDEN_MODELS["almost_erlang3"], SamplerState(103), 833).tobytes()
+    small_kernel(sampling.CHUNK, 1000, 8)
+    assert sample_n(GOLDEN_MODELS["almost_erlang3"], Recording(103), 833).tobytes() == want
+    assert jumps == [833, 1251, 1248]  # branch uniforms, the helper's jump, the caller's
+
+
 @pytest.mark.filterwarnings("error")
 def test_helper_thread_overflow_reaches_caller(small_kernel):
     # every draw at rate 1e-320 passes the float range, in every part
