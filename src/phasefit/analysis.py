@@ -67,8 +67,9 @@ def laplace(model: GeneralizedCoxModel, s: complex) -> complex:
 
 def _within_float_range(moment):
     """Raise MomentOverflow where the moment passes the float range; there
-    math.fsum raises a bare OverflowError, and plain arithmetic gives inf."""
+    math.fsum raises a bare OverflowError, and plain or numpy arithmetic gives inf or nan."""
     @functools.wraps(moment)
+    @np.errstate(over="ignore", invalid="ignore")
     def checked(*args, **kwargs):
         try:
             value = moment(*args, **kwargs)
@@ -119,29 +120,35 @@ def moment_k(model: GeneralizedCoxModel, k: int) -> float:
     power sums s_j = sum x^j (Macdonald, Symmetric Functions and Hall Polynomials, I.2)."""
     if k < 1:
         raise NonPositiveInput("moment order must be >= 1")
-    k_factorial, e = _factorial(k)
     rep = to_phase_type(model)
-    terms = []
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: MomentOverflow
-        for alpha, rates in rep.blocks(rep.alpha, rep.rates):
-            xj = x = 1.0 / rates
-            s, h = [], [1.0]
-            for n in range(1, k + 1):
-                s.append(float(xj.sum()))  # pairwise: s_n
-                xj = xj * x
-                h.append(math.fsum(s[j] * h[n - 1 - j] for j in range(n)) / n)
-            terms.append(alpha[0] * h[k])
-    total = math.fsum(terms)
-    if e and total < np.finfo(float).tiny and terms:  # h_k underflowed: k! times it is unknown
-        raise MomentOverflow(f"moment_k({k}) leaves the float range")
-    return math.ldexp(k_factorial * total, e)
+    branches = [(alpha[0], 1.0 / rates) for alpha, rates in rep.blocks(rep.alpha, rep.rates) if alpha[0]]
+    e, terms = _unit_exponent(k, max((x.sum() for _, x in branches), default=0.0)), []
+    for alpha, x in branches:
+        xj = x = np.ldexp(x, -e)
+        s, h = [], [1.0]
+        for n in range(1, k + 1):
+            s.append(float(xj.sum()))  # pairwise: s_n
+            xj = xj * x
+            h.append(math.fsum(s[j] * h[n - 1 - j] for j in range(n)) / n)
+        terms.append(alpha * h[k])
+    return _times_k_factorial(k, math.fsum(terms), e) if terms else 0.0  # else all mass at zero
 
 
-def _factorial(k: int) -> tuple[float, int]:
-    """k! = f 2^e, f a float: float(k!) and e = 0 up to k = 170, no OverflowError past it."""
-    big = math.factorial(k)
-    e = max(big.bit_length() - 1023, 0)
-    return big / (1 << e), e
+def _unit_exponent(k: int, largest_mean: float) -> int:
+    """Time unit 2^e for an h_k: the largest mean becomes y in [2^c / 2, 2^c), c = log2(k!)/2k rounded,
+    so its branch's h_k, from y^k / k! (many stages) to y^k (one), is within about sqrt(k!) of 1."""
+    return math.frexp(largest_mean)[1] - round(math.lgamma(k + 1.0) / (2.0 * k * math.log(2.0)))
+
+
+def _times_k_factorial(k: int, value: float, e: int) -> float:
+    """k! value 2^(k e), the k-th moment from value = E[T^k] / k! in the time unit 2^e, with no
+    OverflowError on the way. A value (lost digits) or moment below the normal range is refused."""
+    big, (f, e_value) = math.factorial(k), math.frexp(value)
+    shift = max(big.bit_length() - 1023, 0)  # float(k!) overflows from k = 171
+    moment = math.ldexp(big / (1 << shift) * f, shift + e_value + k * e)
+    if value < np.finfo(float).tiny or moment < np.finfo(float).tiny:
+        raise MomentOverflow(f"a moment of order {k} leaves the float range")
+    return moment
 
 
 def _nlogn_minus_logfact(ns: np.ndarray) -> np.ndarray:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _factorial, _within_float_range
-from .errors import MalformedModel, MomentOverflow, NonPositiveInput, NonPositiveRate, ReducibleChain
+from .analysis import _times_k_factorial, _unit_exponent, _within_float_range
+from .errors import MalformedModel, NonPositiveInput, NonPositiveRate, ReducibleChain
 from .model import GeneralizedCoxModel, to_phase_type
 
 # A row may sum to this fraction of its diagonal: the routing row of rate
@@ -97,17 +97,12 @@ def approx_ctmc(model: GeneralizedCoxModel, big_lambda: float | None = None) -> 
 
 def _check_absorbable(ctmc: CtmcExport) -> None:
     """Every state must reach the absorbing state through positive rates."""
-    n = ctmc.n_states
-    adj = ctmc.generator > 0.0
-    reaches = np.zeros(n, dtype=bool)
-    reaches[ctmc.absorbing_index] = True
+    reaches = np.arange(ctmc.n_states) == ctmc.absorbing_index
     frontier = [ctmc.absorbing_index]
-    while frontier:
-        j = frontier.pop()
-        for i in np.nonzero(adj[:, j])[0]:
-            if not reaches[i]:
-                reaches[i] = True
-                frontier.append(int(i))
+    while frontier:  # each state enters once: new ones are marked as they are found
+        new = np.flatnonzero((ctmc.generator[:, frontier.pop()] > 0.0) & ~reaches)
+        reaches[new] = True
+        frontier.extend(new.tolist())
     if not reaches.all():
         missing = [ctmc.labels[i] for i in np.nonzero(~reaches)[0]]
         raise ReducibleChain(f"absorbing state unreachable from {missing}")
@@ -115,24 +110,22 @@ def _check_absorbable(ctmc: CtmcExport) -> None:
 
 @_within_float_range
 def absorption_time_moments(ctmc: CtmcExport, k: int) -> float:
-    """k-th raw moment of the absorption time, k! a (-T)^{-k} 1 over the
-    transient block."""
+    """k-th raw moment of the absorption time, k! a (-T)^{-k} 1 over the transient
+    block; the solves after the first take the time unit of analysis._unit_exponent."""
     if k < 1:
         raise NonPositiveInput("moment order must be >= 1")
     _check_absorbable(ctmc)
     transient = [i for i in range(ctmc.n_states) if i != ctmc.absorbing_index]
-    if not transient:
-        return 0.0
-    t_block = ctmc.generator[np.ix_(transient, transient)]
     a = ctmc.initial[transient]
-    v = np.ones(len(transient))
-    k_factorial, e = _factorial(k)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: MomentOverflow
-        for _ in range(k):
-            v = np.linalg.solve(-t_block, v)
-        if e and v.min() < np.finfo(float).tiny:  # v underflowed: k! times it is unknown
-            raise MomentOverflow(f"absorption_time_moments({k}) leaves the float range")
-        return math.ldexp(float(k_factorial * a @ v), e)
+    if not a.any():  # no mass starts in a transient state
+        return 0.0
+    t_block = -ctmc.generator[np.ix_(transient, transient)]
+    v = np.linalg.solve(t_block, np.ones(len(a)))  # the mean time from each state
+    e = _unit_exponent(k, v[a > 0.0].max())
+    v = np.ldexp(v, -e)  # times in units of 2^e, where -T is 2^e (-T)
+    for _ in range(k - 1):
+        v = np.linalg.solve(t_block, np.ldexp(v, -e))
+    return _times_k_factorial(k, float(a @ v), e)
 
 
 def export_json(ctmc: CtmcExport) -> str:
