@@ -164,9 +164,10 @@ def _uniformized_apply(rep: PhaseTypeRep, t, v: np.ndarray):
 
     Each branch is uniformized at its own largest rate q, so a fast branch
     cannot stiffen a slow one (Reibman & Trivedi, Comput. Oper. Res. 15(1),
-    1988). An equal-rate branch makes P = I + T/q a pure shift, exact after
-    L terms; any other is cut where the Poisson tail at the largest q t
-    falls below UNIFORMIZATION_TAIL. Blocks of at most CHUNK Poisson(q t)
+    1988). P = I + T/q only shifts the leading stages at rate q, so an
+    equal-rate branch is exact after L terms; any other steps only the stages
+    after those, and is cut where the Poisson tail at the largest q t falls
+    below UNIFORMIZATION_TAIL. Blocks of at most CHUNK Poisson(q t)
     weights, for consecutive times, span x - c sqrt(x) to x + c sqrt(x) +
     c^2/3 over their q t = x, dropping under that tail (Chernoff and
     Bernstein bounds; Fox & Glynn, Commun. ACM 31(4), 1988). The one log
@@ -180,18 +181,21 @@ def _uniformized_apply(rep: PhaseTypeRep, t, v: np.ndarray):
     c = math.sqrt(2.0 * math.log(1e2 / UNIFORMIZATION_TAIL))  # each side drops TAIL / 100
     for alpha, rates, w in rep.blocks(rep.alpha, rep.rates, v):
         q = float(rates.max())
-        if np.all(rates == q):
+        j = int(np.argmax(np.append(rates, 0.0) != q))  # leading stages at rate q
+        if j == len(rates):
             coeffs = w  # (P^n v)_0 = v_n
         else:
             qt_max = q * t_hi
             tail = qt_max + c * math.sqrt(qt_max) + c * c / 3.0
             if not tail <= MAX_UNIFORMIZATION_TERMS:
                 raise StiffChain(f"rates {rates.min():g} to {q:g} need {tail:.3g} terms")
-            r = rates / q
-            coeffs = np.empty(math.ceil(tail) + 2)
-            for n in range(len(coeffs)):
+            # (P^n v)_0 = v_n for n < j, then (P'^(n-j) v')_0, P' and v' from stage j on;
+            # past ceil(tail) + 2 terms no block reaches a coefficient
+            coeffs = np.empty(max(math.ceil(tail) + 2, j))
+            coeffs[:j], w, r = w[:j], w[j:], rates[j:] / q
+            for n in range(j, len(coeffs)):
                 coeffs[n] = w[0]
-                # bidiagonal step w <- P w: w_k = (1 - r_k) w_k + r_k w_{k+1}
+                # bidiagonal step w <- P' w: w_k = (1 - r_k) w_k + r_k w_{k+1}
                 w = (1.0 - r) * w + r * np.append(w[1:], 0.0)
         lo, rows = 0, CHUNK
         while lo < len(ts):  # q t capped at 1e300, past which no term is in reach

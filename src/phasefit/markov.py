@@ -15,13 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import _times_k_factorial, _unit_exponent, _within_float_range
-from .errors import MalformedModel, NonPositiveInput, NonPositiveRate, ReducibleChain
+from .errors import DomainError, MalformedModel, NonPositiveInput, NonPositiveRate, ReducibleChain
 from .model import GeneralizedCoxModel, to_phase_type
 
 # A row may sum to this fraction of its diagonal: the routing row of rate
 # big_lambda sums to big_lambda (sum_j p_j - 1), not to an absolute 0.
 ROW_SUM_TOL = 1e-12
 DEFAULT_BIG_LAMBDA_FACTOR = 1e4
+# Chains of more transient states than this are refused rather than built: the
+# dense generator holds (n + 1)^2 rates, 128 MiB at this count.
+MAX_STATES = 4096
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,8 @@ def exact_absorbing_ctmc(model: GeneralizedCoxModel) -> CtmcExport:
     directly on E; last stage of each branch exits to E at its own rate."""
     rep = to_phase_type(model)
     n = rep.n
+    if n > MAX_STATES:
+        raise DomainError(f"a chain of {n} transient states is more than {MAX_STATES}")
     states, succ = np.arange(n), np.arange(1, n + 1)
     succ[np.cumsum(rep.block_lengths, dtype=int) - 1] = n  # a branch's last stage: E
     gen = np.zeros((n + 1, n + 1))
@@ -97,12 +102,17 @@ def approx_ctmc(model: GeneralizedCoxModel, big_lambda: float | None = None) -> 
 
 def _check_absorbable(ctmc: CtmcExport) -> None:
     """Every state must reach the absorbing state through positive rates."""
-    reaches = np.arange(ctmc.n_states) == ctmc.absorbing_index
+    n = ctmc.n_states
+    adj = ctmc.generator > 0.0
+    reaches = np.zeros(n, dtype=bool)
+    reaches[ctmc.absorbing_index] = True
     frontier = [ctmc.absorbing_index]
-    while frontier:  # each state enters once: new ones are marked as they are found
-        new = np.flatnonzero((ctmc.generator[:, frontier.pop()] > 0.0) & ~reaches)
-        reaches[new] = True
-        frontier.extend(new.tolist())
+    while frontier:
+        j = frontier.pop()
+        for i in np.nonzero(adj[:, j])[0]:
+            if not reaches[i]:
+                reaches[i] = True
+                frontier.append(int(i))
     if not reaches.all():
         missing = [ctmc.labels[i] for i in np.nonzero(~reaches)[0]]
         raise ReducibleChain(f"absorbing state unreachable from {missing}")

@@ -118,8 +118,9 @@ def _fill(state, lo: int, hi: int, stages, idx, offsets, out) -> None:
                 continue
             np.divide(block, r, out=block)
             # reduceat adds a0 + (a1 + ...), in partial sums from nine stages
-            # on; seeded draws depend on that order for L >= 3
-            out[lo:top][rows] = np.add.reduceat(block.ravel(), np.arange(0, block.size, len(r)))
+            # on; seeded draws depend on that order for L >= 3. One stage: a copy
+            out[lo:top][rows] = block.ravel() if len(r) == 1 else np.add.reduceat(
+                block.ravel(), np.arange(0, block.size, len(r)))
         if not np.isfinite(out[lo:top]).all():
             raise MomentOverflow("a draw exceeds the float range")
         lo = top

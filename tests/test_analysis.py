@@ -314,6 +314,17 @@ def test_moment_k_of_long_erlangs_is_exact(n):
         assert abs(Fraction(moment_k(m, k)) - want) <= 1e-14 * want
 
 
+def test_pdf_is_the_slope_of_cdf_on_a_long_almost_erlang():
+    # 1e5 stages, the first 99999 at the top rate: they are shifted, not stepped
+    n = 100_000
+    m = fit_two_moments(1.0, 1.0 / (n - 0.5)).model
+    ts = 1.0 + np.linspace(-4.0, 4.0, 25) / math.sqrt(n)  # mean +- 4 sd
+    q = m.max_rate
+    h = 1e-4 / q  # as in the cdf/pdf property: truncation near 1e-9 relative
+    slope = (cdf(m, ts + h) - cdf(m, ts - h)) / (2.0 * h)
+    np.testing.assert_allclose(pdf(m, ts), slope, rtol=1e-6, atol=1e-7 * q)
+
+
 def test_cdf_memory_is_cache_sized():
     # the almost_erlang20 job of the analytic benchmark: 1e5 times out to
     # mean + 8 sd once took 154 MiB of Poisson weights

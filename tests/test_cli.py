@@ -399,6 +399,15 @@ def test_verify_refuses_overflow_before_drawing(capsys, tmp_path):
     assert err.startswith("error: MomentOverflow")
 
 
+def test_export_past_the_state_cap_exits_2(capsys, tmp_path):
+    # its dense generator would be 4098^2 rates; much larger ones once ended in a MemoryError
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"branches": [{"prob": 1.0, "rates": [4097.0] * 4097}]}))
+    code, out, err = run_cli(capsys, "export", "--model", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: DomainError")
+
+
 @pytest.mark.filterwarnings("error")
 def test_moments_past_order_170(capsys, tmp_path):
     path = tmp_path / "model.json"

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from phasefit import (
     absorption_time_moments,
     approx_ctmc,
     exact_absorbing_ctmc,
+    erlang_approximation,
     exponential_model,
     export_dot,
     export_json,
@@ -19,8 +21,8 @@ from phasefit import (
     parse_ctmc_json,
     sauer_chandy,
 )
-from phasefit.errors import MalformedModel, MomentOverflow, NonPositiveRate, ReducibleChain
-from phasefit.markov import CtmcExport
+from phasefit.errors import DomainError, MalformedModel, MomentOverflow, NonPositiveRate, ReducibleChain
+from phasefit.markov import MAX_STATES, CtmcExport
 from tests.test_analysis import random_model
 
 
@@ -169,6 +171,41 @@ class TestAbsorptionMoments:
         assert absorption_time_moments(c, 171) == pytest.approx(want, rel=1e-13)
         with pytest.raises(MomentOverflow):
             absorption_time_moments(c, 1100)  # 2^-1100 underflows on the way
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rate, k", [(1000.0, 105), (1000.0, 150), (100.0, 171)])
+    def test_moments_of_fast_stages_keep_their_digits(self, rate, k):
+        # in seconds h_k = rate^-k is subnormal or 0; in the unit of the mean it is not
+        m = exponential_model(rate)
+        want = Fraction(math.factorial(k)) / Fraction(rate) ** k
+        for got in (moment_k(m, k), absorption_time_moments(exact_absorbing_ctmc(m), k)):
+            assert abs(Fraction(got) - want) <= 1e-13 * want
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [171, 200])
+    def test_moments_of_long_chains_past_order_170(self, k):
+        # Erlang-200 of mean 2: h_k, near 2^k / k!, is in the float range in the unit of
+        # the mean scaled by k; the last state's 100^-k is not, in seconds
+        n, rate = 200, 100.0
+        m = new_model([Branch(1.0, (rate,) * n)])
+        want = Fraction(math.prod(range(n, n + k))) / Fraction(rate) ** k
+        for got in (moment_k(m, k), absorption_time_moments(exact_absorbing_ctmc(m), k)):
+            assert abs(Fraction(got) - want) <= 1e-13 * want
+
+    @pytest.mark.filterwarnings("error")
+    def test_moment_under_the_float_range_raises(self):
+        m = exponential_model(1e200)  # E[T^2] = 2e-400
+        with pytest.raises(MomentOverflow):
+            moment_k(m, 2)
+        with pytest.raises(MomentOverflow):
+            absorption_time_moments(exact_absorbing_ctmc(m), 2)
+
+    def test_chain_past_the_state_cap_is_refused(self):
+        m = erlang_approximation(1.0, MAX_STATES + 1).model
+        with pytest.raises(DomainError):
+            exact_absorbing_ctmc(m)
+        with pytest.raises(DomainError):
+            approx_ctmc(m)
 
     def test_reducible_chain_detected(self):
         # two transient states cycling between each other, E unreachable
