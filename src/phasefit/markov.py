@@ -132,7 +132,7 @@ def absorption_time_moments(ctmc: CtmcExport, k: int) -> float:
     t_block = -ctmc.generator[np.ix_(transient, transient)]
     v = np.linalg.solve(t_block, np.ones(len(a)))  # the mean time from each state
     e = _unit_exponent(k, v[a > 0.0].max())
-    v = np.ldexp(v, -e)  # times in units of 2^e, where -T is 2^e (-T)
+    v = np.ldexp(v, -e)  # in units of 2^e the rates are 2^e (-T): each solve takes 2^-e v
     for _ in range(k - 1):
         v = np.linalg.solve(t_block, np.ldexp(v, -e))
     return _times_k_factorial(k, float(a @ v), e)

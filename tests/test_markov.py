@@ -184,8 +184,8 @@ class TestAbsorptionMoments:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("k", [171, 200])
     def test_moments_of_long_chains_past_order_170(self, k):
-        # Erlang-200 of mean 2: h_k, near 2^k / k!, is in the float range in the unit of
-        # the mean scaled by k; the last state's 100^-k is not, in seconds
+        # Erlang-200 of mean 2: in seconds the last state's E[T^k] / k! = 100^-k
+        # underflows; in the time unit picked for the order it does not
         n, rate = 200, 100.0
         m = new_model([Branch(1.0, (rate,) * n)])
         want = Fraction(math.prod(range(n, n + k))) / Fraction(rate) ** k
