@@ -69,7 +69,6 @@ def _within_float_range(moment):
     """Raise MomentOverflow where the moment passes the float range; there
     math.fsum raises a bare OverflowError, and plain or numpy arithmetic gives inf or nan."""
     @functools.wraps(moment)
-    @np.errstate(over="ignore", invalid="ignore")
     def checked(*args, **kwargs):
         try:
             value = moment(*args, **kwargs)
@@ -113,6 +112,7 @@ def summarize(model: GeneralizedCoxModel) -> MomentSummary:
 
 
 @_within_float_range
+@np.errstate(over="ignore", invalid="ignore")
 def moment_k(model: GeneralizedCoxModel, k: int) -> float:
     """k-th raw moment. A branch's stages are independent exponentials, so its
     E[T^k] / k! is the complete homogeneous symmetric polynomial h_k of its stage
@@ -209,10 +209,16 @@ def _uniformized_apply(rep: PhaseTypeRep, t, v: np.ndarray):
             ns = np.arange(n0, n1, dtype=float)
             k = 2.0 ** round(math.log2(n1 + 1))
             with np.errstate(divide="ignore"):  # qt / k is exact; log 0 floors to -1e300
-                pmf = np.multiply.outer(np.maximum(np.log(qt * (1.0 / k)), -1e300), ns)
+                lq = np.maximum(np.log(qt * (1.0 / k)), -1e300)
             # n log k as n log(k/n) + n log n: no one rounding is multiplied by every n
-            pmf += ns * np.log(k / np.maximum(ns, 1.0)) + _nlogn_minus_logfact(ns)
-            pmf -= qt[:, None]
+            row = ns * np.log(k / np.maximum(ns, 1.0)) + _nlogn_minus_logfact(ns)
+            if min(len(qt), n1 - n0) >= 3:  # the exponent in one pass, a rank-3 product
+                pmf = np.array([lq, np.ones_like(qt), -qt]).T @ np.array([ns, row, np.ones_like(ns)])
+            else:  # numpy takes 1 row or term as a mat-vec (other roundings); 1-2 terms: factor > pmf
+                pmf = np.multiply.outer(lq, ns)
+                pmf += row
+                pmf -= qt[:, None]
+            del lq  # as large as pmf in a one-term window; held through exp, it slowed those
             out[lo:lo + len(qt)] += np.exp(pmf, out=pmf) @ (alpha[0] * coeffs[n0:n1])
             lo, rows = lo + len(qt), max(1, CHUNK // max(n1 - n0, 1))
     return float(out[0]) if np.ndim(t) == 0 else out

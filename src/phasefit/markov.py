@@ -47,9 +47,11 @@ class CtmcExport:
         row_ok = np.abs(gen.sum(axis=1)) <= ROW_SUM_TOL * np.abs(diag)
         if not (np.all(np.isfinite(gen)) and np.all(row_ok)):
             raise MalformedModel("generator rows must be finite and sum to 0")
-        if not np.all(gen - np.diag(diag) >= 0.0):
+        ok = gen >= 0.0  # the one n^2 mask, reused below; the row sums check the diagonal
+        np.fill_diagonal(ok, True)
+        if not ok.all():
             raise MalformedModel("off-diagonal rates must be nonnegative")
-        zero_rows = np.nonzero(np.all(gen == 0.0, axis=1))[0]
+        zero_rows = np.nonzero(np.all(np.equal(gen, 0.0, out=ok), axis=1))[0]
         if len(zero_rows) != 1 or zero_rows[0] != self.absorbing_index:
             raise MalformedModel("exactly one absorbing (zero) row is required")
         if not (np.all(init >= 0.0) and abs(init.sum() - 1.0) <= 1e-9):
@@ -119,6 +121,7 @@ def _check_absorbable(ctmc: CtmcExport) -> None:
 
 
 @_within_float_range
+@np.errstate(over="ignore", invalid="ignore")
 def absorption_time_moments(ctmc: CtmcExport, k: int) -> float:
     """k-th raw moment of the absorption time, k! a (-T)^{-k} 1 over the transient
     block; the solves after the first take the time unit of analysis._unit_exponent."""
@@ -139,14 +142,10 @@ def absorption_time_moments(ctmc: CtmcExport, k: int) -> float:
 
 
 def export_json(ctmc: CtmcExport) -> str:
-    return json.dumps(
-        {
-            "labels": list(ctmc.labels),
-            "generator": ctmc.generator.tolist(),
-            "initial": ctmc.initial.tolist(),
-            "absorbing": ctmc.absorbing_index,
-        }
-    )
+    """json.dumps of labels, generator, initial and absorbing, the generator a row at a time."""
+    rows = ", ".join(json.dumps(row.tolist()) for row in ctmc.generator)
+    return (f'{{"labels": {json.dumps(list(ctmc.labels))}, "generator": [{rows}], "initial": '
+            f'{json.dumps(ctmc.initial.tolist())}, "absorbing": {json.dumps(ctmc.absorbing_index)}}}')
 
 
 def parse_ctmc_json(text: str) -> CtmcExport:

@@ -339,6 +339,51 @@ def test_cdf_memory_is_cache_sized():
     assert peak < 16 * 2**20
 
 
+def test_cdf_of_one_stage_on_many_times_stays_cache_sized():
+    # one-term windows (a one-stage branch) take no rows x 3 factor beside their block
+    ts = np.linspace(0.0, 20.0, 100_000)
+    tracemalloc.start()
+    try:
+        cdf(exponential_model(1.0), ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
+def uniformized_reference(model, t, density):
+    """sum_n e^(-qt) (qt)^n / n! c_n over each branch in plain Python: (qt)^n / n! rounded once
+    from whole numbers, the terms summed by math.fsum, then one math.exp; c_n = (P^n v)_0 for
+    P = I + T/q and v the exit rates (density) or ones (survival). A weight taken as
+    exp(n log qt - qt - lgamma(n + 1)) is 1.6e-14 off at qt = 28, where lgamma(61) is near 189."""
+    total = []
+    for b in model.branches:
+        if not b.rates:
+            continue
+        q = max(b.rates)
+        top, bottom = (q * t).as_integer_ratio()
+        v = [0.0] * (b.length - 1) + [b.rates[-1]] if density else [1.0] * b.length
+        terms, num, den = [], 1, 1
+        for n in range(int(q * t + 12.0 * math.sqrt(q * t) + 60.0)):
+            terms.append(num / den * v[0])
+            num, den = num * top, den * bottom * (n + 1)
+            v = [(1.0 - r / q) * v[k] + r / q * (v[k + 1] if k + 1 < b.length else 0.0)
+                 for k, r in enumerate(b.rates)]
+        total.append(b.prob * math.exp(-q * t) * math.fsum(terms))
+    return math.fsum(total) if density else 1.0 - math.fsum(total)
+
+
+@pytest.mark.parametrize("name", ["exponential", "almost_erlang3", "almost_erlang20", "hyper_atom"])
+def test_cdf_and_pdf_match_a_pure_python_poisson_sum(name):
+    m = exponential_model(1.5) if name == "exponential" else GOLDEN_MODELS[name]
+    ts = np.linspace(0.0, mean(m) + 8.0 * math.sqrt(variance(m)), 51)  # t = 0 and 50 more
+    want_cdf = [uniformized_reference(m, float(t), density=False) for t in ts]
+    want_pdf = [uniformized_reference(m, float(t), density=True) for t in ts]
+    np.testing.assert_allclose(cdf(m, ts), want_cdf, rtol=0, atol=1e-14)
+    # the almost-Erlang-20 density peaks at 1.8, where 1e-14 is 5 ulps; it is 8e-15 relative off
+    np.testing.assert_allclose(pdf(m, ts), want_pdf, rtol=1e-14, atol=1e-14)
+
+
 def test_cdf_at_large_qt_matches_hypoexponential_closed_form():
     # almost-Erlang-2000: k = 1999 stages of rate a, then one of rate b < a,
     # so q t runs to about 2400 and each time needs about 1100 Poisson terms.

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -223,6 +224,23 @@ class TestSerialization:
         assert c2.generator.tolist() == c.generator.tolist()
         assert c2.initial.tolist() == c.initial.tolist()
         assert c2.absorbing_index == c.absorbing_index
+
+    @pytest.mark.parametrize("model, digest", [
+        (new_model([Branch(1.0, ())]),
+         "6a951de59cc359ac59bd864eb5eb36bd079bd5891c17ec873555870e48971e61"),
+        (new_model([Branch(0.25, ()), Branch(0.35, tuple(1.0 + i / 7 for i in range(120))),
+                    Branch(0.4, tuple(3.0 / (i + 1) for i in range(79)))]),
+         "480295fc30c34de3336651720eb5b39270f98d2c5ccd6d78661092158ebfb445"),
+        (new_model([Branch(1.0, tuple(float(i % 7 + 1) for i in range(4095)))]),
+         "4647c9cbb9dc341c7ce5c0769758a1d55409cc395950c158047bf7b585047864"),
+    ], ids=["1_state", "200_states", "4096_states"])
+    def test_json_bytes_are_json_dumps_of_the_whole_chain(self, model, digest):
+        # digests of json.dumps({"labels", "generator": tolist(), "initial", "absorbing"})
+        c = exact_absorbing_ctmc(model)
+        text = export_json(c)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        if c.n_states <= 200:  # json.loads of 4096^2 rates holds as many Python floats
+            assert export_json(parse_ctmc_json(text)) == text
 
     def test_dot_exponential(self):
         dot = export_dot(exact_absorbing_ctmc(exponential_model(1.0)))
