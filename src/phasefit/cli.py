@@ -210,8 +210,8 @@ def main(argv=None) -> int:
     except PhasefitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError) as exc:  # a MemoryError may have no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, sampling
-from .errors import (MomentOverflow, NegativeCount, NonPositiveInput, UnstableSystem,
+from .errors import (DomainError, MomentOverflow, NegativeCount, NonPositiveInput, UnstableSystem,
                      UnstableSystemWarning)
 from .model import GeneralizedCoxModel, exponential_model
 
@@ -115,12 +115,15 @@ def run_mph1(arrival_rate: float, service: GeneralizedCoxModel,
                       UnstableSystemWarning)
 
     arr_state, svc_state = sampling.split_seeds(seed, 2)
-    arrivals = _draws(exponential_model(arrival_rate), arr_state, n_customers)
-    services = _draws(service, svc_state, n_customers)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: MomentOverflow
-        last_arrival = np.cumsum(arrivals, out=arrivals)[-1]  # _fifo_waits writes over arrivals
-        waits = _fifo_waits(arrivals, services)
-        last_departure = last_arrival + waits[-1] + services[-1]
+    try:  # the per-customer arrays
+        arrivals = _draws(exponential_model(arrival_rate), arr_state, n_customers)
+        services = _draws(service, svc_state, n_customers)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: MomentOverflow
+            last_arrival = np.cumsum(arrivals, out=arrivals)[-1]  # _fifo_waits writes over arrivals
+            waits = _fifo_waits(arrivals, services)
+            last_departure = last_arrival + waits[-1] + services[-1]
+    except MemoryError:
+        raise DomainError(f"{n_customers} customers do not fit in memory") from None
     if not math.isfinite(last_departure):
         raise MomentOverflow("the last departure time exceeds the float range")
 

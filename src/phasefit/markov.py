@@ -62,44 +62,40 @@ class CtmcExport:
         return len(self.labels)
 
 
-def exact_absorbing_ctmc(model: GeneralizedCoxModel) -> CtmcExport:
-    """Exact chain: initial mass p_j on branch j's first stage, atom mass
-    directly on E; last stage of each branch exits to E at its own rate."""
-    rep = to_phase_type(model)
-    n = rep.n
+def _chain(model: GeneralizedCoxModel, big_lambda: float | None) -> CtmcExport:
+    """The exact chain, or with big_lambda the routed one: I is row 0, every state one down."""
+    n, lead = model.n_transient, int(big_lambda is not None)  # lead: the rows before stage 1
     if n > MAX_STATES:
         raise DomainError(f"a chain of {n} transient states is more than {MAX_STATES}")
-    states, succ = np.arange(n), np.arange(1, n + 1)
+    rep, n = to_phase_type(model), n + lead  # n: the absorbing index
+    states, succ = np.arange(lead, n), np.arange(lead + 1, n + 1)
     succ[np.cumsum(rep.block_lengths, dtype=int) - 1] = n  # a branch's last stage: E
     gen = np.zeros((n + 1, n + 1))
-    gen[states, states] = -rep.rates
-    gen[states, succ] = rep.rates
+    gen[states, states], gen[states, succ] = -rep.rates, rep.rates
     initial = np.concatenate([rep.alpha, [rep.atom0]])
     labels = tuple(f"B{j}.S{k}" for j, b in enumerate(model.branches, start=1)
                    for k in range(1, b.length + 1)) + ("E",)
+    if lead:
+        gen[0, 0], gen[0, 1:] = -big_lambda, big_lambda * initial
+        initial, labels = np.eye(1, n + 1)[0], ("I",) + labels
     return CtmcExport(labels, gen, initial, n)
+
+
+def exact_absorbing_ctmc(model: GeneralizedCoxModel) -> CtmcExport:
+    """Exact chain: initial mass p_j on branch j's first stage, atom mass
+    directly on E; last stage of each branch exits to E at its own rate."""
+    return _chain(model, None)
 
 
 def approx_ctmc(model: GeneralizedCoxModel, big_lambda: float | None = None) -> CtmcExport:
     """Huge-rate variant: explicit state I routes to branch heads at rates
-    p_j * big_lambda (atom mass straight to E); all initial mass on I.
-
-    Defaults big_lambda to 1e4 times the largest stage rate; the exact mean
-    bias introduced is 1/big_lambda.
-    """
+    p_j * big_lambda (atom mass straight to E); all initial mass on I. big_lambda
+    defaults to 1e4 times the largest stage rate; the exact mean bias is 1/big_lambda."""
     if big_lambda is None:
         big_lambda = DEFAULT_BIG_LAMBDA_FACTOR * max(model.max_rate, 1.0)
     if not (big_lambda > 0.0 and math.isfinite(big_lambda)):
         raise NonPositiveRate(f"big_lambda must be positive and finite, got {big_lambda!r}")
-    exact = exact_absorbing_ctmc(model)
-    n = exact.n_states
-    gen = np.zeros((n + 1, n + 1))
-    gen[0, 0] = -big_lambda
-    gen[0, 1:] = big_lambda * exact.initial
-    gen[1:, 1:] = exact.generator
-    initial = np.zeros(n + 1)
-    initial[0] = 1.0
-    return CtmcExport(("I",) + exact.labels, gen, initial, n)
+    return _chain(model, big_lambda)
 
 
 def _check_absorbable(ctmc: CtmcExport) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .errors import InsufficientData, MomentOverflow, NegativeCount, NonPositiveInput
+from .errors import DomainError, InsufficientData, MomentOverflow, NegativeCount, NonPositiveInput
 from .model import GeneralizedCoxModel
 
 GENERATOR_NAME = "pcg64"
@@ -44,14 +44,15 @@ class SamplerState:
 
     def uniforms(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
         """n uniforms on (0, 1], written to out[:n] when out is given."""
-        self.counter += n
         u = self._rng.random(n, out=None if out is None else out[:n])
+        self.counter += n  # after the draw, so a failed one leaves counter in step
         return np.subtract(1.0, u, out=u)
 
     def skip(self, n: int) -> SamplerState:
-        """Pass over the next n uniforms in O(log n) (PCG64 is an LCG); returns self."""
+        """Pass over the next n uniforms, or back over -n of them, in O(log n) (PCG64 is
+        an LCG of period 2^128); returns self."""
         self.counter += n
-        self._rng.bit_generator.advance(n)
+        self._rng.bit_generator.advance(int(n) % (1 << 128))
         return self
 
 
@@ -67,36 +68,41 @@ def sample_n(model: GeneralizedCoxModel, state: SamplerState, n: int) -> np.ndar
     first from copies of the stream jumped ahead, so no stream, counter or draw changes."""
     if n < 0:
         raise NegativeCount(f"draw count must be nonnegative, got {n}")
-    branches = model.branches
-    if len(branches) == 1:  # idx: each draw's branch; offsets: stage uniforms before each draw
-        idx, offsets = None, np.arange(n + 1, dtype=np.int64) * branches[0].length
-        state.skip(n)
-    else:  # idx = min(searchsorted(cum, u), B - 1) a cut at a time: faster below about 150
-        # branches (1e6 draws), in the smallest dtype; accumulate sums as cumsum does
-        u, idx = state.uniforms(n), np.zeros(n, dtype=np.min_scalar_type(len(branches)))
-        for cut in itertools.accumulate(b.prob for b in branches[:-1]):
-            idx += u > cut
-        del u
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.array([b.length for b in branches])[idx], out=offsets[1:])
-    total, out = int(offsets[-1]), np.zeros(n)
-    # (j, negated stage rates) of each branch with stages: ln U / -rate has the bits of -ln U / rate
-    stages = [(j, np.negative(b.rates)) for j, b in enumerate(branches) if b.length]
-    parts = max(1, min(WORKERS, total // PARALLEL_MIN))
-    # part p: draws cuts[p]..cuts[p+1]-1, about total / parts stage uniforms each
-    cuts = [0] + [int(np.searchsorted(offsets, total * p // parts)) for p in range(1, parts)] + [n]
-    if parts == 1:
-        _fill(state, 0, n, stages, idx, offsets, out)
-    else:  # imported here, as it imports logging (10 ms) that no other call needs
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(parts - 1) as pool:  # leaving the block joins every helper
-            helpers = [pool.submit(_fill, copy.deepcopy(state).skip(int(offsets[lo])), lo, hi,
-                                   stages, idx, offsets, out) for lo, hi in zip(cuts[1:], cuts[2:])]
-            _fill(state, 0, cuts[1], stages, idx, offsets, out)
-            for helper in helpers:
-                helper.result()  # raises what the helper raised
-        state.skip(total - int(offsets[cuts[1]]))  # past the helpers' parts
-    return out
+    start = state.counter
+    try:
+        branches = model.branches
+        if len(branches) == 1:  # idx: each draw's branch; offsets: stage uniforms before each draw
+            idx, offsets = None, np.arange(n + 1, dtype=np.int64) * branches[0].length
+            state.skip(n)
+        else:  # idx = min(searchsorted(cum, u), B - 1) a cut at a time: faster below about 150
+            # branches (1e6 draws), in the smallest dtype; accumulate sums as cumsum does
+            u, idx = state.uniforms(n), np.zeros(n, dtype=np.min_scalar_type(len(branches)))
+            for cut in itertools.accumulate(b.prob for b in branches[:-1]):
+                idx += u > cut
+            del u
+            offsets = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.array([b.length for b in branches])[idx], out=offsets[1:])
+        total, out = int(offsets[-1]), np.zeros(n)
+        # (j, negated stage rates) of each branch with stages: ln U / -rate has the bits of -ln U / rate
+        stages = [(j, np.negative(b.rates)) for j, b in enumerate(branches) if b.length]
+        parts = max(1, min(WORKERS, total // PARALLEL_MIN))
+        # part p: draws cuts[p]..cuts[p+1]-1, about total / parts stage uniforms each
+        cuts = [0] + [int(np.searchsorted(offsets, total * p // parts)) for p in range(1, parts)] + [n]
+        if parts == 1:
+            _fill(state, 0, n, stages, idx, offsets, out)
+        else:  # imported here, as it imports logging (10 ms) that no other call needs
+            from concurrent.futures import ThreadPoolExecutor
+            with ThreadPoolExecutor(parts - 1) as pool:  # leaving the block joins every helper
+                helpers = [pool.submit(_fill, copy.deepcopy(state).skip(int(offsets[lo])), lo, hi,
+                                       stages, idx, offsets, out) for lo, hi in zip(cuts[1:], cuts[2:])]
+                _fill(state, 0, cuts[1], stages, idx, offsets, out)
+                for helper in helpers:
+                    helper.result()  # raises what the helper raised
+            state.skip(total - int(offsets[cuts[1]]))  # past the helpers' parts
+        return out
+    except MemoryError:  # a per-draw array: refused, with the stream back where it was
+        state.skip(start - state.counter)
+        raise DomainError(f"{n} draws do not fit in memory") from None
 
 
 @np.errstate(over="ignore")  # an inf draw raises MomentOverflow below
@@ -112,10 +118,8 @@ def _fill(state, lo: int, hi: int, stages, idx, offsets, out) -> None:
             rows = slice(None) if idx is None else np.flatnonzero(idx[lo:top] == j)
             if idx is None or rows.size == top - lo:  # every draw of the chunk is on branch j
                 block = u.reshape(-1, len(r))
-            elif rows.size:
+            else:  # no rows: an empty gather, divide and reduceat
                 block = u[(offsets[lo:top][rows] - offsets[lo])[:, None] + np.arange(len(r))]
-            else:
-                continue
             np.divide(block, r, out=block)
             # reduceat adds a0 + (a1 + ...), in partial sums from nine stages
             # on; seeded draws depend on that order for L >= 3. One stage: a copy

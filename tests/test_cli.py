@@ -3,8 +3,10 @@ import math
 
 import pytest
 
-from phasefit import SamplerState, model_from_json, model_to_json, sample_n, sauer_chandy
+from phasefit import (SamplerState, model_from_json, model_to_json, sample_n, sampling,
+                      sauer_chandy)
 from phasefit.cli import main
+from tests.test_sampling import HUGE, run_limited
 
 
 def run_cli(capsys, *argv):
@@ -483,3 +485,29 @@ def test_seed_variable_sets_the_default_seed(capsys, tmp_path, monkeypatch):
     expected = run_cli(capsys, "sample", "--model", str(path), "-n", "50", "--seed", "11")
     monkeypatch.setenv("PHASEFIT_SEED", "11")
     assert run_cli(capsys, "sample", "--model", str(path), "-n", "50") == expected
+
+
+# Counts written as integers: argparse refuses 1e10 for its own reason.
+HUGE_COMMANDS = [("sample", "--model", "{model}", "-n", str(HUGE)),
+                 ("verify", "--model", "{model}", "-n", str(HUGE)),
+                 ("simulate", "--service", "{model}", "--arrival-rate", "0.5",
+                  "--customers", str(HUGE))]
+
+
+@pytest.mark.parametrize("argv", HUGE_COMMANDS, ids=lambda a: a[0])
+def test_huge_count_exits_2_without_a_traceback(capsys, tmp_path, argv):
+    model = _write_model(capsys, tmp_path, 1, 0.051)  # an almost-Erlang of 20 stages
+    proc = run_limited("import sys\nfrom phasefit.cli import main\nsys.exit(main(sys.argv[1:]))",
+                       *(a.format(model=model) for a in argv))
+    noun = "customers" if argv[0] == "simulate" else "draws"
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: DomainError: {HUGE} {noun} do not fit in memory\n"
+
+
+def test_memory_error_past_the_arrays_exits_2(capsys, tmp_path, monkeypatch):
+    # as when the text of a sample does not fit: Python's MemoryError has no message
+    def fail(*args):
+        raise MemoryError
+    path = _write_model(capsys, tmp_path, 1, 4)
+    monkeypatch.setattr(sampling, "sample_n", fail)
+    assert run_cli(capsys, "sample", "--model", str(path), "-n", "5") == (2, "", "error: MemoryError\n")

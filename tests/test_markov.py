@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from phasefit import (
     parse_ctmc_json,
     sauer_chandy,
 )
+from phasefit import markov
 from phasefit.errors import DomainError, MalformedModel, MomentOverflow, NonPositiveRate, ReducibleChain
 from phasefit.markov import MAX_STATES, CtmcExport
 from tests.test_analysis import random_model
@@ -120,6 +122,18 @@ class TestApproxExport:
             assert np.array_equal(c.generator[0, 1:], 1e3 * exact.initial)
             assert c.generator[0, 0] == -1e3
 
+    def test_routed_chain_at_the_cap_holds_one_generator(self):
+        # the generator and one n^2 boolean mask (1/8 of its bytes): 1.13 times
+        m = new_model([Branch(1.0, (1.0,) * MAX_STATES)])
+        tracemalloc.start()
+        try:
+            c = approx_ctmc(m, 1e9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert c.n_states == MAX_STATES + 2
+        assert peak < 1.25 * c.generator.nbytes
+
     def test_default_routing_builds_where_probabilities_round(self):
         # the routing row sums to big_lambda (sum p - 1): about 1e-12 of
         # 1e4 * max rate, past an absolute 1e-12 on 883 of these models
@@ -201,8 +215,9 @@ class TestAbsorptionMoments:
         with pytest.raises(MomentOverflow):
             absorption_time_moments(exact_absorbing_ctmc(m), 2)
 
-    def test_chain_past_the_state_cap_is_refused(self):
+    def test_chain_past_the_state_cap_is_refused(self, monkeypatch):
         m = erlang_approximation(1.0, MAX_STATES + 1).model
+        monkeypatch.setattr(markov, "to_phase_type", None)  # refused before any array is built
         with pytest.raises(DomainError):
             exact_absorbing_ctmc(m)
         with pytest.raises(DomainError):

@@ -12,6 +12,7 @@ from scipy import linalg
 from phasefit import (
     Branch,
     absorption_time_moments,
+    almost_erlang,
     approx_ctmc,
     cdf,
     erlang_approximation,
@@ -94,17 +95,33 @@ def models(draw, decades=3.0):
         for w, length in shapes)
 
 
+@st.composite
+def almost_erlangs(draw):
+    """Almost-Erlang fits of mean 1 and N = 2..30 stages, Cv^2 inside (1/N, 1/(N-1)).
+    Cv^2 stays 1 % of that range off its top, where the N = 2 head rate grows without bound."""
+    n = draw(st.integers(2, 30))
+    cv2 = 1.0 / n + draw(st.floats(0.0, 0.99, exclude_min=True)) * (1.0 / (n - 1) - 1.0 / n)
+    return almost_erlang(1.0, cv2).model
+
+
 @settings(max_examples=200)
 @given(models(), st.floats(2.0, 8.0))
 def test_ctmc_exports_build_round_trip_and_match_moments(model, log_factor):
     big_lambda = 10.0 ** log_factor * max(model.max_rate, 1.0)
-    for ctmc in (exact_absorbing_ctmc(model), approx_ctmc(model, big_lambda)):
+    exact, approx = exact_absorbing_ctmc(model), approx_ctmc(model, big_lambda)
+    # the routed chain is the exact chain plus its routing row
+    assert np.array_equal(approx.generator[1:, 1:], exact.generator)
+    assert not approx.generator[1:, 0].any()
+    assert np.array_equal(approx.generator[0], np.r_[-big_lambda, big_lambda * exact.initial])
+    assert approx.labels == ("I",) + exact.labels
+    assert np.array_equal(approx.initial, np.eye(1, exact.n_states + 1)[0])
+    assert approx.absorbing_index == exact.absorbing_index + 1
+    for ctmc in (exact, approx):
         back = parse_ctmc_json(export_json(ctmc))
         assert back.labels == ctmc.labels
         assert back.absorbing_index == ctmc.absorbing_index
         assert np.array_equal(back.generator, ctmc.generator)
         assert np.array_equal(back.initial, ctmc.initial)
-    exact = exact_absorbing_ctmc(model)
     for k in (1, 2, 3):
         assert math.isclose(absorption_time_moments(exact, k), moment_k(model, k),
                             rel_tol=REL)
@@ -128,7 +145,7 @@ def _mp_moment(model, k):
 
 
 @settings(max_examples=200)
-@given(models(decades=4.0), st.integers(1, 8))
+@given(st.one_of(models(decades=4.0), almost_erlangs()), st.integers(1, 8))
 def test_moment_k_matches_mpmath(model, k):
     assert math.isclose(moment_k(model, k), _mp_moment(model, k), rel_tol=1e-13)
 
@@ -136,7 +153,7 @@ def test_moment_k_matches_mpmath(model, k):
 # Rates within one decade of 1 keep q t, the uniformization term count, in
 # the thousands at six means, so the property runs in a few seconds.
 @settings(max_examples=100)
-@given(models(decades=1.0))
+@given(st.one_of(models(decades=1.0), almost_erlangs()))
 def test_cdf_and_pdf_match_the_matrix_exponential(model):
     rep = to_phase_type(model)
     scale = mean(model) or 1.0  # 0 when every branch is an atom

@@ -1,5 +1,8 @@
 import hashlib
+import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import phasefit
 from phasefit import (
     Branch,
     sampling,
@@ -20,7 +24,8 @@ from phasefit import (
     sample_n,
     split_seeds,
 )
-from phasefit.errors import InsufficientData, MomentOverflow, NegativeCount, NonPositiveRate
+from phasefit.errors import (DomainError, InsufficientData, MomentOverflow, NegativeCount,
+                             NonPositiveRate)
 
 
 class TestSamplerState:
@@ -367,3 +372,70 @@ def test_helper_thread_failure_reaches_caller(small_kernel):
     # with one thread the same state draws without failing
     small_kernel(sampling.CHUNK, 1000, 1)
     assert sample_n(GOLDEN_MODELS["almost_erlang3"], HelperFails(0), 10_000).shape == (10_000,)
+
+
+def run_limited(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Runs code in a child Python limited to 2 GiB of address space, with argv.
+    A count of 1e10 draws must fail there at its first array: without the limit,
+    an overcommitting host lets numpy start writing tens of GiB."""
+    prelude = ("import resource\n"
+               "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(phasefit.__file__)))
+    return subprocess.run([sys.executable, "-c", prelude + code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+HUGE = 10**10
+SAMPLE_HUGE = f"""
+import json, sys
+from phasefit import SamplerState, model_from_json, sample_n
+from phasefit.errors import DomainError
+state = SamplerState(5)
+state.uniforms(3)
+try:
+    sample_n(model_from_json(sys.argv[1]), state, {HUGE})
+except DomainError as exc:
+    print(json.dumps([str(exc), state.counter, state.uniforms(1)[0]]))
+"""
+
+
+@pytest.mark.parametrize("name", ["almost_erlang20", "hyper_atom", "mixed_0_2_11"])
+def test_huge_count_is_refused_with_the_stream_unchanged(name):
+    proc = run_limited(SAMPLE_HUGE, phasefit.model_to_json(GOLDEN_MODELS[name]))
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    want = SamplerState(5)
+    want.uniforms(3)
+    assert json.loads(proc.stdout) == [f"{HUGE} draws do not fit in memory", 3,
+                                       want.uniforms(1)[0]]
+
+
+def test_huge_queue_is_refused():
+    proc = run_limited(f"""
+from phasefit import exponential_model, run_mph1
+from phasefit.errors import DomainError
+try:
+    run_mph1(0.5, exponential_model(1.0), n_customers={HUGE})
+except DomainError as exc:
+    print(exc)
+""")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, f"{HUGE} customers do not fit in memory\n", "")
+
+
+@pytest.mark.parametrize("name", ["almost_erlang20", "mixed_0_2_11"])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_refusal_after_drawing_rewinds_the_stream(small_kernel, monkeypatch, name, workers):
+    # a part that fails once it has drawn: the stream goes back past the
+    # branch uniforms, the helpers' jumps and the part's own uniforms
+    def fill_then_fail(state, *args):
+        state.uniforms(7)
+        raise MemoryError
+
+    small_kernel(5, 3, workers)
+    monkeypatch.setattr(sampling, "_fill", fill_then_fail)
+    state, want = SamplerState(5), SamplerState(5)
+    with pytest.raises(DomainError, match="100 draws do not fit in memory"):
+        sample_n(GOLDEN_MODELS[name], state, 100)
+    assert state.counter == 0
+    assert state.uniforms(4).tobytes() == want.uniforms(4).tobytes()
