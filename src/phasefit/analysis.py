@@ -28,7 +28,8 @@ POLE_TOL = 1e-14
 UNIFORMIZATION_TAIL = 1e-12
 # A branch needing more uniformization terms than this is refused as too stiff.
 MAX_UNIFORMIZATION_TERMS = 10_000_000
-CHUNK = 1 << 18  # Poisson weights (times x terms) per block: 2 MiB
+CHUNK = 1 << 18  # floats per block of times: its powers, chunk sums and per-time vectors, 2 MiB
+_LOG_SQRT_TINY = math.log(np.finfo(float).tiny) / 2  # a block's smallest Poisson weight, as a log
 # n log n - log n! below n = 64, where the series in _nlogn_minus_logfact falls short
 _NLOGN_MINUS_LOGFACT = np.array([0.0] + [n * math.log(n) - math.lgamma(n + 1.0) for n in range(1, 64)])
 
@@ -162,16 +163,15 @@ def _nlogn_minus_logfact(ns: np.ndarray) -> np.ndarray:
 def _uniformized_apply(rep: PhaseTypeRep, t, v: np.ndarray):
     """alpha exp(T t) v at a time or array of times, uniformized per branch.
 
-    Each branch is uniformized at its own largest rate q, so a fast branch
-    cannot stiffen a slow one (Reibman & Trivedi, Comput. Oper. Res. 15(1),
-    1988). P = I + T/q only shifts the leading stages at rate q, so an
-    equal-rate branch is exact after L terms; any other steps only the stages
-    after those, and is cut where the Poisson tail at the largest q t falls
-    below UNIFORMIZATION_TAIL. Blocks of at most CHUNK Poisson(q t)
-    weights, for consecutive times, span x - c sqrt(x) to x + c sqrt(x) +
-    c^2/3 over their q t = x, dropping under that tail (Chernoff and
-    Bernstein bounds; Fox & Glynn, Commun. ACM 31(4), 1988). The one log
-    per time is of x / k, k a power of two near x: n multiplies its rounding.
+    Each branch is uniformized at its own largest rate q, so a fast branch cannot stiffen a slow
+    one (Reibman & Trivedi, Comput. Oper. Res. 15(1), 1988). P = I + T/q only shifts the leading
+    stages at rate q, so an equal-rate branch is exact after L terms; any other steps only the
+    stages after those, until the Poisson tail at the largest q t is under UNIFORMIZATION_TAIL
+    or no later coefficient passes 2^-53 max v. Blocks of consecutive times span x - c sqrt(x)
+    to x + c sqrt(x) + c^2/3 over their q t = x (Chernoff and Bernstein bounds; Fox & Glynn,
+    Commun. ACM 31(4), 1988); with k the largest x, a block is (x/k)^n0 e^(k-x) sum_n alpha c_n
+    Pois(n; k) (x/k)^(n-n0), one exp per term and per time, summed by blocked Horner (Paterson &
+    Stockmeyer, SIAM J. Comput. 2(1), 1973).
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     t_lo, t_hi = float(np.min(ts, initial=0.0)), float(np.max(ts, initial=0.0))
@@ -185,42 +185,47 @@ def _uniformized_apply(rep: PhaseTypeRep, t, v: np.ndarray):
         if j == len(rates):
             coeffs = w  # (P^n v)_0 = v_n
         else:
-            qt_max = q * t_hi
-            tail = qt_max + c * math.sqrt(qt_max) + c * c / 3.0
+            tail = q * t_hi + c * math.sqrt(q * t_hi) + c * c / 3.0
             if not tail <= MAX_UNIFORMIZATION_TERMS:
                 raise StiffChain(f"rates {rates.min():g} to {q:g} need {tail:.3g} terms")
             # (P^n v)_0 = v_n for n < j, then (P'^(n-j) v')_0, P' and v' from stage j on;
             # past ceil(tail) + 2 terms no block reaches a coefficient
-            coeffs = np.empty(max(math.ceil(tail) + 2, j))
-            coeffs[:j], w, r = w[:j], w[j:], rates[j:] / q
-            for n in range(j, len(coeffs)):
+            coeffs, n, floor = np.empty(max(math.ceil(tail) + 2, j)), j, 2.0**-53 * w.max()
+            coeffs[:j], w, r = w[:j], w[j:].copy(), rates[j:] / q
+            while n < len(coeffs) and (n % 16 or w.max() > floor):  # convex steps: max w never rises
                 coeffs[n] = w[0]
-                # bidiagonal step w <- P' w: w_k = (1 - r_k) w_k + r_k w_{k+1}
-                w = (1.0 - r) * w + r * np.append(w[1:], 0.0)
+                step = r[:-1] * w[1:]  # w <- P' w in place: w_k = (1 - r_k) w_k + r_k w_{k+1}
+                w *= 1.0 - r
+                w[:-1] += step
+                n += 1
+            coeffs = coeffs[:n]
         lo, rows = 0, CHUNK
         while lo < len(ts):  # q t capped at 1e300, past which no term is in reach
-            qt = q * np.minimum(ts[lo:lo + rows], 1e300 / q)
-            x_lo, x_hi = float(qt.min()), float(qt.max())
+            tb = ts[lo:lo + rows]
+            x_lo, x_hi = (q * min(float(f(tb)), 1e300 / q) for f in (np.min, np.max))
             n0 = int(min(max(x_lo - c * math.sqrt(x_lo), 0.0), len(coeffs)))
             n1 = int(min(x_hi + c * math.sqrt(x_hi) + c * c / 3.0 + 1.0, len(coeffs)))
-            if len(qt) > 1 and len(qt) * (n1 - n0) > CHUNK:
-                rows = len(qt) // 2
-                continue
-            ns = np.arange(n0, n1, dtype=float)
-            k = 2.0 ** round(math.log2(n1 + 1))
-            with np.errstate(divide="ignore"):  # qt / k is exact; log 0 floors to -1e300
-                lq = np.maximum(np.log(qt * (1.0 / k)), -1e300)
-            # n log k as n log(k/n) + n log n: no one rounding is multiplied by every n
-            row = ns * np.log(k / np.maximum(ns, 1.0)) + _nlogn_minus_logfact(ns)
-            if min(len(qt), n1 - n0) >= 3:  # the exponent in one pass, a rank-3 product
-                pmf = np.array([lq, np.ones_like(qt), -qt]).T @ np.array([ns, row, np.ones_like(ns)])
-            else:  # numpy takes 1 row or term as a mat-vec (other roundings); 1-2 terms: factor > pmf
-                pmf = np.multiply.outer(lq, ns)
-                pmf += row
-                pmf -= qt[:, None]
-            del lq  # as large as pmf in a one-term window; held through exp, it slowed those
-            out[lo:lo + len(qt)] += np.exp(pmf, out=pmf) @ (alpha[0] * coeffs[n0:n1])
-            lo, rows = lo + len(qt), max(1, CHUNK // max(n1 - n0, 1))
+            m, k, b = n1 - n0, x_hi or 1.0, math.isqrt(max(n1 - n0 - 1, 0)) + 1  # b = ceil(sqrt(m))
+            width = b + -(-m // b) + 6  # per time: powers y^0..y^(b-1), chunk sums, 6 vectors
+            if m <= 0:  # no coefficient within the window
+                lo += len(tb)
+            elif len(tb) > 1 and (len(tb) * width > CHUNK or  # or a factor past 1/sqrt(tiny):
+                                  n0 * math.log(k) - math.lgamma(n0 + 1.0) - k < _LOG_SQRT_TINY):
+                rows = len(tb) // 2
+            else:  # log Pois(n; k) = n log(k/n) + (n log n - log n!) - k
+                ns, qt = np.arange(n0, n1, dtype=float), q * np.minimum(tb, 1e300 / q)
+                lp = ns * np.log(k / np.maximum(ns, 1.0)) + _nlogn_minus_logfact(ns) - k
+                a = np.append(alpha[0] * coeffs[n0:n1] * np.exp(lp), np.zeros(-m % b))
+                d, ys = k - qt, np.ones((b, len(qt)))  # x/k = 1 - d/k; n0 > 0 only if every x > 0
+                y, fac = 1.0 - d / k, np.exp(d + n0 * np.log1p(-d / k)) if n0 else np.exp(d)
+                for i in range(1, b):
+                    np.multiply(ys[i - 1], y, out=ys[i])
+                sums, yb = a.reshape(-1, b) @ ys, ys[-1] * y  # chunk i: a_(n0 + i b + j) y^j over j
+                for i in range(len(sums) - 2, -1, -1):  # Horner in y^b over the chunks
+                    sums[-1] *= yb
+                    sums[-1] += sums[i]
+                out[lo:lo + len(qt)] += sums[-1] * fac  # times (x/k)^n0 e^(k-x)
+                lo, rows = lo + len(qt), max(1, CHUNK // width)
     return float(out[0]) if np.ndim(t) == 0 else out
 
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -373,7 +374,8 @@ def uniformized_reference(model, t, density):
     return math.fsum(total) if density else 1.0 - math.fsum(total)
 
 
-@pytest.mark.parametrize("name", ["exponential", "almost_erlang3", "almost_erlang20", "hyper_atom"])
+@pytest.mark.parametrize("name", ["exponential", "almost_erlang3", "almost_erlang20", "hyper_atom",
+                                  "sauer_chandy", "cox4_atom"])
 def test_cdf_and_pdf_match_a_pure_python_poisson_sum(name):
     m = exponential_model(1.5) if name == "exponential" else GOLDEN_MODELS[name]
     ts = np.linspace(0.0, mean(m) + 8.0 * math.sqrt(variance(m)), 51)  # t = 0 and 50 more
@@ -382,6 +384,34 @@ def test_cdf_and_pdf_match_a_pure_python_poisson_sum(name):
     np.testing.assert_allclose(cdf(m, ts), want_cdf, rtol=0, atol=1e-14)
     # the almost-Erlang-20 density peaks at 1.8, where 1e-14 is 5 ulps; it is 8e-15 relative off
     np.testing.assert_allclose(pdf(m, ts), want_pdf, rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MODELS))
+def test_a_shuffled_grid_over_many_decades_matches_scalar_calls_and_the_reference(name):
+    # blocks of unsorted times from 0 to 300 means are split until each keeps its weights
+    # and per-time factors in the float range; the reference's integers overflow past 30 means
+    m = GOLDEN_MODELS[name]
+    ts = mean(m) * np.array([0.0, 1e-9, 1e-3, 0.5, 1.0, 3.0, 30.0, 300.0])
+    np.random.default_rng(11).shuffle(ts)
+    near = ts <= 30.0 * mean(m)
+    for f, density in [(cdf, False), (pdf, True)]:
+        got = f(m, ts)
+        np.testing.assert_allclose(got, [f(m, float(t)) for t in ts], rtol=1e-13, atol=1e-13)
+        want = [uniformized_reference(m, float(t), density) for t in ts[near]]
+        np.testing.assert_allclose(got[near], want, rtol=1e-13, atol=1e-13)
+
+
+def test_cdf_and_pdf_far_past_the_mean_stop_the_stage_recurrence_early():
+    # each step of the recurrence takes convex combinations of the stage values and 0, so
+    # once none passes 2^-53 of the largest no later term can matter: at 1e5 means this
+    # stops after 80 of the 4.4e5 steps the Poisson tail alone would ask for
+    m = GOLDEN_MODELS["almost_erlang3"]
+    t = 1e5 * mean(m)
+    start = time.perf_counter()
+    got = (cdf(m, t), pdf(m, t))
+    elapsed = time.perf_counter() - start
+    assert got == (1.0, 0.0)
+    assert elapsed < 0.5
 
 
 def test_cdf_at_large_qt_matches_hypoexponential_closed_form():
