@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -314,3 +315,43 @@ class TestSampleStats:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(NonFiniteObservation):
                 sample_stats([1.0, bad])
+
+
+# Every FitResult field must stay byte-identical across versions: these are
+# sha256 digests of the repr of each result, one per line. The Cv^2 and scale
+# points come from a seeded PCG64 stream and Python's float pow.
+def _golden_sweep(seed):
+    rng = np.random.default_rng(seed)
+    us = -2.0 + 4.0 * (np.arange(2000) + rng.uniform(0.05, 0.95, 2000)) / 2000
+    scales = rng.uniform(-3.0, 3.0, 2000)
+    return [(10.0 ** float(s), 10.0 ** float(u)) for s, u in zip(scales, us)]
+
+
+def _golden_fits(name):
+    if name == "fit_two_moments":
+        pairs = _golden_sweep(19) + [(mu, c) for mu in GRID_MU for c in GRID_CV2]
+        return [fit_two_moments(mu, c * mu * mu) for mu, c in pairs]
+    if name == "erlang_approximation":
+        return [erlang_approximation(mu, n) for mu in GRID_MU + (60.59217924429939,)
+                for n in (1, 2, 3, 7, 49, 100, 1000)]
+    pairs = [(mu, c) for mu, c in _golden_sweep(20) if c > 1.0]
+    if name == "sauer_chandy":
+        return [sauer_chandy(mu, c * mu * mu) for mu, c in pairs]
+    # hyper_family: p at fractions of p_max = 2/(1+Cv^2), and p_max itself
+    return [hyper_family(mu, c * mu * mu, f * 2.0 / (1.0 + c))
+            for (mu, c), f in zip(pairs, [0.001, 0.3, 0.5, 0.999, 1.0] * len(pairs))]
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("fit_two_moments",
+     "922846786a07bd2c1b2c4f2707aa8aae6fb9ba7609ac7d741563ac9efa1f77f6"),
+    ("erlang_approximation",
+     "74548aa5876750ddaff70935278054e8a5af94a39c1a0377153fe815eaf6baed"),
+    ("sauer_chandy",
+     "8afb23e5401821f20af62f23c6efe5bbc414654488031bd773bd37558e4f7391"),
+    ("hyper_family",
+     "74310bd3ac2e328e6590850c2eaee40a77367b85bffb84a350fc41fb66f984ed"),
+])
+def test_fit_results_golden(name, digest):
+    text = "\n".join(repr(r) for r in _golden_fits(name))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
