@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,11 +82,35 @@ def _within_float_range(moment):
     return checked
 
 
+def _mean_and_terms(model: GeneralizedCoxModel) -> tuple[float, list[float]]:
+    """The one pass behind mean, variance and summarize: the mean, and the fsum terms of the
+    variance by the law of total variance, the stage variances p x^2 and the spread
+    p (sum x - mean)^2 of the branch means, each at most the variance. Past the float range
+    math.fsum raises a bare OverflowError."""
+    ps, sums, terms = [], [], []
+    for b in model.branches:
+        p, xs = b.prob, [1.0 / r for r in b.rates]  # the stage means, summed once
+        ps.append(p)
+        sums.append(math.fsum(xs))
+        for x in xs:
+            terms.append(p * x * x)
+    m = math.fsum(map(operator.mul, ps, sums))
+    for p, s in zip(ps, sums):
+        d = s - m
+        terms.append(p * d * d)
+    return m, terms
+
+
 @_within_float_range
 def mean(model: GeneralizedCoxModel) -> float:
-    return math.fsum(
-        b.prob * math.fsum(1.0 / r for r in b.rates) for b in model.branches
-    )
+    """E[T] = sum_j p_j sum_k 1/lambda_jk, from the one pass of _mean_and_terms."""
+    return _mean_and_terms(model)[0]
+
+
+@_within_float_range
+def variance(model: GeneralizedCoxModel) -> float:
+    """Var[T] by the law of total variance, the fsum of the terms of _mean_and_terms."""
+    return math.fsum(_mean_and_terms(model)[1])
 
 
 def second_moment(model: GeneralizedCoxModel) -> float:
@@ -93,23 +118,13 @@ def second_moment(model: GeneralizedCoxModel) -> float:
     return summarize(model).second_moment
 
 
-@_within_float_range
-def variance(model: GeneralizedCoxModel) -> float:
-    """Law of total variance: the stage variances plus the spread of the
-    branch means about the mean. Every term is at most the result, so a
-    variance within the float range is computed without overflow."""
-    m = mean(model)
-    terms = []
-    for b in model.branches:
-        xs = [1.0 / r for r in b.rates]
-        d = math.fsum(xs) - m
-        terms.append(b.prob * d * d)
-        terms.extend(b.prob * x * x for x in xs)
-    return math.fsum(terms)
-
-
 def summarize(model: GeneralizedCoxModel) -> MomentSummary:
-    return MomentSummary.from_mean_var(mean(model), variance(model))
+    """Mean, variance, second moment and Cv^2 from one pass over the stage means."""
+    try:
+        m, terms = _mean_and_terms(model)
+        return MomentSummary.from_mean_var(m, math.fsum(terms))
+    except OverflowError:
+        raise MomentOverflow("the mean or variance exceeds the float range") from None
 
 
 @_within_float_range

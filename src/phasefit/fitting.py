@@ -72,7 +72,10 @@ def _result(model, family, mu, sigma2, alpha_n):
 
 def minimal_states(mu: float, sigma2: float) -> int:
     """Smallest transient-state count able to match (mu, sigma2)."""
-    cv2 = _check_targets(mu, sigma2)
+    return _minimal_states(mu, sigma2, _check_targets(mu, sigma2))
+
+
+def _minimal_states(mu: float, sigma2: float, cv2: float) -> int:
     if sigma2 <= 0.0:
         raise NonPositiveInput("variance must be positive")
     if cv2 >= 1.0:
@@ -100,13 +103,17 @@ def almost_erlang(mu: float, sigma2: float) -> FitResult:
     cv2 = _check_targets(mu, sigma2)
     if cv2 >= 1.0:
         raise DomainError("almost-Erlang requires sigma^2 < mu^2")
-    n = minimal_states(mu, sigma2)
+    n = _minimal_states(mu, sigma2, cv2)
     if n < 2:
         raise DomainError("ceil(mu^2/sigma^2) must be >= 2")
-    # sqrt(N sigma2 - mu^2) / N with mu factored out, so nothing overflows;
-    # N Cv^2 >= 1 up to roundoff at integral mu^2/sigma^2.
+    return _almost_erlang(mu, sigma2, cv2, n)
+
+
+def _almost_erlang(mu: float, sigma2: float, cv2: float, n: int) -> FitResult:
+    # sqrt(N sigma2 - mu^2) / N with mu factored out, so nothing overflows; N Cv^2 >= 1 up to
+    # roundoff at integral mu^2/sigma^2, and N = 1 (sigma^2 below mu^2 by roundoff) is exponential.
     alpha_n = mu * math.sqrt(max(n * cv2 - 1.0, 0.0)) / n
-    family = ERLANG if alpha_n == 0.0 else ALMOST_ERLANG
+    family = EXPONENTIAL if n == 1 else ERLANG if alpha_n == 0.0 else ALMOST_ERLANG
     return _result(_chain(mu, n, alpha_n), family, mu, sigma2, alpha_n)
 
 
@@ -138,6 +145,10 @@ def simplest_hyper(mu: float, sigma2: float) -> FitResult:
     cv2 = _check_targets(mu, sigma2)
     if cv2 < 1.0:
         raise DomainError("simplest hyperexponential requires sigma^2 >= mu^2")
+    return _simplest_hyper(mu, sigma2, cv2)
+
+
+def _simplest_hyper(mu: float, sigma2: float, cv2: float) -> FitResult:
     p = 2.0 / (1.0 + cv2)
     model, _ = _two_branch(mu, cv2, p)
     family = EXPONENTIAL if p == 1.0 else SIMPLEST_HYPER
@@ -155,7 +166,7 @@ def hyper_family(mu: float, sigma2: float, p: float) -> FitResult:
 
 
 def fit_two_moments(mu: float, sigma2: float) -> FitResult:
-    """Minimal-state fit of the first two moments."""
+    """Minimal-state fit of the first two moments; the targets are checked once."""
     cv2 = _check_targets(mu, sigma2)
     if sigma2 == 0.0:
         raise DeterministicUnrepresentable(
@@ -163,11 +174,8 @@ def fit_two_moments(mu: float, sigma2: float) -> FitResult:
             "use an explicit Erlang-N approximation instead"
         )
     if cv2 >= 1.0:
-        return simplest_hyper(mu, sigma2)
-    if minimal_states(mu, sigma2) < 2:
-        # sigma^2 below mu^2 only by roundoff: exponential boundary.
-        return _result(_chain(mu, 1, 0.0), EXPONENTIAL, mu, sigma2, 0.0)
-    return almost_erlang(mu, sigma2)
+        return _simplest_hyper(mu, sigma2, cv2)
+    return _almost_erlang(mu, sigma2, cv2, _minimal_states(mu, sigma2, cv2))
 
 
 def erlang_approximation(mu: float, n: int) -> FitResult:
@@ -178,8 +186,7 @@ def erlang_approximation(mu: float, n: int) -> FitResult:
         raise NonPositiveInput("stage count must be >= 1")
     if n > MAX_STAGES:
         raise DomainError(f"Erlang-{n} has more than {MAX_STAGES} stages")
-    family = EXPONENTIAL if n == 1 else ERLANG
-    return _result(_chain(mu, n, 0.0), family, mu, mu * mu / n, 0.0)
+    return _almost_erlang(mu, mu * mu / n, 0.0, n)  # a deterministic target: Cv^2 = 0, alpha = 0
 
 
 def sauer_chandy(mu: float, sigma2: float) -> FitResult:

@@ -8,6 +8,8 @@ front, whose huge exit rate emulates instantaneous routing (adding exactly one
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -29,6 +31,9 @@ MAX_STATES = 4096
 
 @dataclass(frozen=True)
 class CtmcExport:
+    """A validated absorbing CTMC. Its arrays must not be changed in place: whether every state
+    reaches the absorbing one is worked out once per export and kept with it."""
+
     labels: tuple[str, ...]
     generator: np.ndarray
     initial: np.ndarray
@@ -60,6 +65,10 @@ class CtmcExport:
     @property
     def n_states(self) -> int:
         return len(self.labels)
+
+    @functools.cached_property
+    def _absorbable(self) -> bool:  # a bool, not the n^2 block; not a field, so == ignores it
+        return not _unreachable(self)
 
 
 def _chain(model: GeneralizedCoxModel, big_lambda: float | None) -> CtmcExport:
@@ -98,11 +107,10 @@ def approx_ctmc(model: GeneralizedCoxModel, big_lambda: float | None = None) -> 
     return _chain(model, big_lambda)
 
 
-def _check_absorbable(ctmc: CtmcExport) -> None:
-    """Every state must reach the absorbing state through positive rates."""
-    n = ctmc.n_states
+def _unreachable(ctmc: CtmcExport) -> list[str]:
+    """Labels of the states that cannot reach the absorbing state through positive rates."""
     adj = ctmc.generator > 0.0
-    reaches = np.zeros(n, dtype=bool)
+    reaches = np.zeros(ctmc.n_states, dtype=bool)
     reaches[ctmc.absorbing_index] = True
     frontier = [ctmc.absorbing_index]
     while frontier:
@@ -111,9 +119,7 @@ def _check_absorbable(ctmc: CtmcExport) -> None:
             if not reaches[i]:
                 reaches[i] = True
                 frontier.append(int(i))
-    if not reaches.all():
-        missing = [ctmc.labels[i] for i in np.nonzero(~reaches)[0]]
-        raise ReducibleChain(f"absorbing state unreachable from {missing}")
+    return [ctmc.labels[i] for i in np.nonzero(~reaches)[0]]
 
 
 @_within_float_range
@@ -123,8 +129,9 @@ def absorption_time_moments(ctmc: CtmcExport, k: int) -> float:
     block; the solves after the first take the time unit of analysis._unit_exponent."""
     if k < 1:
         raise NonPositiveInput("moment order must be >= 1")
-    _check_absorbable(ctmc)
-    transient = [i for i in range(ctmc.n_states) if i != ctmc.absorbing_index]
+    if not ctmc._absorbable:  # a reducible chain is refused on every call
+        raise ReducibleChain(f"absorbing state unreachable from {_unreachable(ctmc)}")
+    transient = np.delete(np.arange(ctmc.n_states), ctmc.absorbing_index)
     a = ctmc.initial[transient]
     if not a.any():  # no mass starts in a transient state
         return 0.0
@@ -137,9 +144,23 @@ def absorption_time_moments(ctmc: CtmcExport, k: int) -> float:
     return _times_k_factorial(k, float(a @ v), e)
 
 
+def _json_rows(gen: np.ndarray):
+    """json.dumps of each row: a row of +0.0 with the repr of each entry that is not +0.0 spliced
+    in, as json.dumps writes a float; such entries are found by their bits, so -0.0 stays -0.0."""
+    rows, cols = np.nonzero(gen.view(np.int64))
+    entries = zip(cols.tolist(), map(repr, gen[rows, cols].tolist()))
+    zeros = f"[{', '.join(['0.0'] * len(gen))}]"  # its entry j is zeros[5 j + 1:5 j + 4]
+    for count in np.bincount(rows, minlength=len(gen)).tolist():
+        pieces, end = [], 0
+        for j, x in itertools.islice(entries, count):  # the row's entries, in column order
+            pieces += (zeros[end:5 * j + 1], x)
+            end = 5 * j + 4
+        yield "".join(pieces + [zeros[end:]])
+
+
 def export_json(ctmc: CtmcExport) -> str:
-    """json.dumps of labels, generator, initial and absorbing, the generator a row at a time."""
-    rows = ", ".join(json.dumps(row.tolist()) for row in ctmc.generator)
+    """json.dumps of labels, generator, initial and absorbing, making no Python float for a zero."""
+    rows = ", ".join(_json_rows(ctmc.generator))
     return (f'{{"labels": {json.dumps(list(ctmc.labels))}, "generator": [{rows}], "initial": '
             f'{json.dumps(ctmc.initial.tolist())}, "absorbing": {json.dumps(ctmc.absorbing_index)}}}')
 

@@ -27,21 +27,22 @@ PROB_SUM_INPUT_TOL = 1e-9
 PROB_SUM_STORED_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Branch:
     """One branch: routing probability plus ordered exponential stage rates."""
 
     prob: float
     rates: tuple[float, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
-        object.__setattr__(self, "prob", float(self.prob))
-        if not (0.0 <= self.prob <= 1.0):
-            raise ProbSumInvalid(f"branch probability {self.prob} outside [0, 1]")
-        for r in self.rates:
-            if not (r > 0.0 and math.isfinite(r)):
-                raise NonPositiveRate(f"stage rate {r} must be positive and finite")
+    def __init__(self, prob: float, rates=()):
+        rates, prob = tuple(map(float, rates)), float(prob)
+        if not (0.0 <= prob <= 1.0):
+            raise ProbSumInvalid(f"branch probability {prob} outside [0, 1]")
+        if rates and not (all(map(math.isfinite, rates)) and min(rates) > 0.0):
+            bad = next(r for r in rates if not (r > 0.0 and math.isfinite(r)))
+            raise NonPositiveRate(f"stage rate {bad} must be positive and finite")
+        object.__setattr__(self, "prob", prob)
+        object.__setattr__(self, "rates", rates)
 
     @property
     def length(self) -> int:
@@ -52,26 +53,22 @@ class Branch:
         return not self.rates
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GeneralizedCoxModel:
     """Validated, immutable Generalized Cox distribution."""
 
     branches: tuple[Branch, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "branches", tuple(self.branches))
-        if not self.branches:
+    def __init__(self, branches):
+        branches = tuple(branches)
+        if not branches:
             raise EmptyModel("model needs at least one branch")
-        total = math.fsum(b.prob for b in self.branches)
+        total = math.fsum([b.prob for b in branches])
         if abs(total - 1.0) > PROB_SUM_INPUT_TOL:
             raise ProbSumInvalid(f"branch probabilities sum to {total}, not 1")
-        if abs(total - 1.0) > PROB_SUM_STORED_TOL:
-            # Renormalize only small input drift.
-            object.__setattr__(
-                self,
-                "branches",
-                tuple(Branch(b.prob / total, b.rates) for b in self.branches),
-            )
+        if abs(total - 1.0) > PROB_SUM_STORED_TOL:  # renormalize only small input drift
+            branches = tuple(Branch(b.prob / total, b.rates) for b in branches)
+        object.__setattr__(self, "branches", branches)
 
     @property
     def atom_weight(self) -> float:
@@ -80,7 +77,7 @@ class GeneralizedCoxModel:
 
     @property
     def n_transient(self) -> int:
-        return sum(b.length for b in self.branches)
+        return sum([len(b.rates) for b in self.branches])
 
     @property
     def max_rate(self) -> float:
@@ -89,7 +86,7 @@ class GeneralizedCoxModel:
 
 def new_model(branches) -> GeneralizedCoxModel:
     """Build a validated model from an iterable of Branch."""
-    return GeneralizedCoxModel(tuple(branches))
+    return GeneralizedCoxModel(branches)
 
 
 def exponential_model(rate: float) -> GeneralizedCoxModel:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -230,6 +231,32 @@ class TestAbsorptionMoments:
         with pytest.raises(ReducibleChain):
             absorption_time_moments(c, 1)
 
+    def test_reducible_chain_raises_on_every_call(self):
+        # C feeds the cycle of A and B but reaches E itself: only A and B are named
+        gen = np.array([[-1.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0],
+                        [1.0, 0.0, -2.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
+        c = CtmcExport(("A", "B", "C", "E"), gen, np.array([0.0, 0.0, 1.0, 0.0]), 3)
+        for k in (1, 2, 1, 3):
+            with pytest.raises(ReducibleChain, match=r"\['A', 'B'\]"):
+                absorption_time_moments(c, k)
+
+    def test_cached_verdict_is_not_a_field(self):
+        assert "must not be changed in place" in CtmcExport.__doc__
+        c = exact_absorbing_ctmc(erlang_approximation(1.0, 3).model)
+        first = absorption_time_moments(c, 2)
+        assert vars(c)["_absorbable"] is True  # the verdict alone is kept
+        copy = dataclasses.replace(c)
+        assert "_absorbable" not in vars(copy) and "_absorbable" not in repr(c)
+        assert copy == c and absorption_time_moments(copy, 2) == first
+        # a replaced generator gets its own verdict, not the one c keeps
+        gen = c.generator.copy()
+        gen[2] = [0.0, 1.0, -4.0, 3.0]  # S3 also feeds back into S2
+        assert absorption_time_moments(dataclasses.replace(c, generator=gen), 1) > 1.0
+        gen = gen.copy()
+        gen[2] = [0.0, 3.0, -3.0, 0.0]  # S2 and S3 only cycle: E is unreachable
+        with pytest.raises(ReducibleChain):
+            absorption_time_moments(dataclasses.replace(c, generator=gen), 1)
+
 
 class TestSerialization:
     def test_json_round_trip(self):
@@ -256,6 +283,43 @@ class TestSerialization:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
         if c.n_states <= 200:  # json.loads of 4096^2 rates holds as many Python floats
             assert export_json(parse_ctmc_json(text)) == text
+
+    @staticmethod
+    def _dumps(c):
+        return json.dumps({"labels": list(c.labels), "generator": c.generator.tolist(),
+                           "initial": c.initial.tolist(), "absorbing": c.absorbing_index})
+
+    def test_json_keeps_negative_zero(self):
+        # -0.0 is a nonnegative rate and a zero row's entry; json.dumps writes it as -0.0
+        gen = np.array([[-2.0, -0.0, 2.0, 0.0], [0.0, -1.5, -0.0, 1.5],
+                        [-0.0, 0.0, -1e-300, 1e-300], [0.0, -0.0, 0.0, -0.0]])
+        c = CtmcExport(("A", "B", "C", "E"), gen, np.array([0.5, 0.5, -0.0, 0.0]), 3)
+        text = export_json(c)
+        assert text == self._dumps(c) and text.count("-0.0") == 6  # one in initial
+        assert export_json(parse_ctmc_json(text)) == text
+
+    def test_json_of_a_dense_parsed_chain(self):
+        # every off-diagonal rate positive, of every size and written form
+        rng = np.random.default_rng(5)
+        n = 12
+        gen = rng.choice([5e-324, 1e-300, 0.1, 1.0, 3.0, 1e16, 1e300 / n], size=(n + 1, n + 1))
+        gen[n] = 0.0
+        np.fill_diagonal(gen, 0.0)
+        np.fill_diagonal(gen, -gen.sum(axis=1))
+        gen[np.diag_indices(n + 1)] += 0.0  # -0.0 of the absorbing row back to 0.0
+        text = json.dumps({"labels": [f"s{i}" for i in range(n)] + ["E"], "generator": gen.tolist(),
+                           "initial": [1.0] + [0] * n, "absorbing": n})
+        c = parse_ctmc_json(text)
+        assert export_json(c) == self._dumps(c)
+        assert export_json(parse_ctmc_json(export_json(c))) == export_json(c)
+
+    @pytest.mark.parametrize("model", [
+        fit_two_moments(1.0, 16.0).model,
+        new_model([Branch(0.25, ()), Branch(0.35, (1.0, 2.0, 3.0)), Branch(0.4, (0.5,) * 7)]),
+    ], ids=["hyper_atom", "three_branches"])
+    def test_json_of_the_routed_chain(self, model):
+        c = approx_ctmc(model)
+        assert export_json(c) == self._dumps(c)
 
     def test_dot_exponential(self):
         dot = export_dot(exact_absorbing_ctmc(exponential_model(1.0)))
