@@ -305,8 +305,7 @@ class TestSerialization:
         gen = rng.choice([5e-324, 1e-300, 0.1, 1.0, 3.0, 1e16, 1e300 / n], size=(n + 1, n + 1))
         gen[n] = 0.0
         np.fill_diagonal(gen, 0.0)
-        np.fill_diagonal(gen, -gen.sum(axis=1))
-        gen[np.diag_indices(n + 1)] += 0.0  # -0.0 of the absorbing row back to 0.0
+        np.fill_diagonal(gen, -gen.sum(axis=1))  # the absorbing row's is -0.0
         text = json.dumps({"labels": [f"s{i}" for i in range(n)] + ["E"], "generator": gen.tolist(),
                            "initial": [1.0] + [0] * n, "absorbing": n})
         c = parse_ctmc_json(text)
