@@ -210,6 +210,14 @@ GOLDEN_MODELS = {
                                Branch(0.8872983346207417, (1.7745966692414832,))]),
     "mixed_0_2_11": new_model([Branch(0.2, ()), Branch(0.5, (2.0, 3.0)),
                                Branch(0.3, tuple(1.0 + k / 4 for k in range(11)))]),
+    # two, eight and nine stages: the terms after the first are summed one by one
+    # below eight of them, pairwise from eight on
+    "erlang2": new_model([Branch(1.0, (2.0,) * 2)]),
+    "erlang8": new_model([Branch(1.0, (8.0,) * 8)]),
+    "erlang9": new_model([Branch(1.0, (9.0,) * 9)]),
+    # branches of at most one stage, with more than one atom
+    "hyper_two_atoms": new_model([Branch(0.1, ()), Branch(0.3, (0.5,)), Branch(0.15, ()),
+                                  Branch(0.25, (2.0,)), Branch(0.2, (7.0,))]),
 }
 GOLDEN = {
     ("exponential", 1): ("d85abe16d2c434e1732f21e39758d4a9", 2),
@@ -247,6 +255,26 @@ GOLDEN = {
     ("mixed_0_2_11", 65536): ("d6d7c2cbc5590b86385359fc0a01c8a3", 347806),
     ("mixed_0_2_11", 65537): ("ec0fdeabfd363065177298d694d6fc5f", 347809),
     ("mixed_0_2_11", 196615): ("6ca9f6f0864afab814d093fdbffff7b9", 1040397),
+    ("erlang2", 1): ("9e2102b1cdd5b48a0319e6b1f0040de6", 3),
+    ("erlang2", 65535): ("bf852e398cf98b25c9202dcf9608aba4", 196605),
+    ("erlang2", 65536): ("50790eac04df7d2b1b824a23d940866c", 196608),
+    ("erlang2", 65537): ("dbce1473065f6195d69607cfe86adc0c", 196611),
+    ("erlang2", 196615): ("b67882a111c52910fe537cd0be41bc9a", 589845),
+    ("erlang8", 1): ("6b5310b59be7523a83b1466a69c4f4c4", 9),
+    ("erlang8", 65535): ("d64e0c28cdbf62302431c5112a56e2df", 589815),
+    ("erlang8", 65536): ("3b90f9cc2987f14e21343abdb609d7b3", 589824),
+    ("erlang8", 65537): ("87ae6b197758c34b0ab42de37109e419", 589833),
+    ("erlang8", 196615): ("b25183f2a6400dd8fdcd4b06390ffec9", 1769535),
+    ("erlang9", 1): ("5b41884989461ae21e855c2e1a9cb79e", 10),
+    ("erlang9", 65535): ("53b4a17ec1fcbb8c39f1363d138cbffa", 655350),
+    ("erlang9", 65536): ("74e9c2ad930b66652ef466e7718da0e1", 655360),
+    ("erlang9", 65537): ("c10c438004601972412e45e597f600e1", 655370),
+    ("erlang9", 196615): ("4fda8b4e29fe0a46c0f603bc1b69e66c", 1966150),
+    ("hyper_two_atoms", 1): ("6e9607e0f3dbd01bff41b9124acbab37", 2),
+    ("hyper_two_atoms", 65535): ("15df8efa6324107ee8340ab128181c82", 114699),
+    ("hyper_two_atoms", 65536): ("89f0af313c6326700ed7cb719e11af5c", 114700),
+    ("hyper_two_atoms", 65537): ("fae08522dabfa03a59d0d0f45ed05518", 114702),
+    ("hyper_two_atoms", 196615): ("b90879d7b680d071a95d3c6ae67ce4bc", 344073),
 }
 
 
@@ -298,7 +326,8 @@ def small_kernel(monkeypatch):
 
 
 INVARIANCE_MODELS = {name: GOLDEN_MODELS[name]
-                     for name in ("mixed_0_2_11", "hyper_atom", "almost_erlang20")}
+                     for name in ("mixed_0_2_11", "hyper_atom", "almost_erlang20", "erlang2",
+                                  "erlang8", "erlang9", "hyper_two_atoms")}
 INVARIANCE_MODELS["atom_only"] = new_model([Branch(1.0, ())])
 INVARIANCE_MODELS["two_atoms"] = new_model([Branch(0.4, ()), Branch(0.6, ())])
 # 0 to 3 draws, then counts on both sides of the chunk (5, 7 uniforms) and
