@@ -104,8 +104,9 @@ def cmd_export(args) -> int:
         ctmc = markov.approx_ctmc(model, args.approx_routing)
     else:
         ctmc = markov.exact_absorbing_ctmc(model)
-    if args.format == "ctmc-json":
-        print(markov.export_json(ctmc))
+    if args.format == "ctmc-json":  # a row at a time: the whole text would double the peak
+        sys.stdout.writelines(markov.export_json_pieces(ctmc))
+        print()
     else:
         print(markov.export_dot(ctmc))
     return EXIT_OK

@@ -144,25 +144,27 @@ def absorption_time_moments(ctmc: CtmcExport, k: int) -> float:
     return _times_k_factorial(k, float(a @ v), e)
 
 
-def _json_rows(gen: np.ndarray):
-    """json.dumps of each row: a row of +0.0 with the repr of each entry that is not +0.0 spliced
-    in, as json.dumps writes a float; such entries are found by their bits, so -0.0 stays -0.0."""
-    rows, cols = np.nonzero(gen.view(np.int64))
-    entries = zip(cols.tolist(), map(repr, gen[rows, cols].tolist()))
-    zeros = f"[{', '.join(['0.0'] * len(gen))}]"  # its entry j is zeros[5 j + 1:5 j + 4]
-    for count in np.bincount(rows, minlength=len(gen)).tolist():
-        pieces, end = [], 0
+def export_json_pieces(ctmc: CtmcExport):
+    """export_json's text, a generator row a piece: a row of +0.0 with the repr of each entry that
+    is not +0.0 spliced in, as json.dumps writes a float; such entries are found by their bits,
+    so -0.0 stays -0.0."""
+    rows, cols = np.nonzero(ctmc.generator.view(np.int64))
+    entries = zip(cols.tolist(), map(repr, ctmc.generator[rows, cols].tolist()))
+    zeros = f"[{', '.join(['0.0'] * ctmc.n_states)}]"  # its entry j is zeros[5 j + 1:5 j + 4]
+    yield f'{{"labels": {json.dumps(list(ctmc.labels))}, "generator": ['
+    for i, count in enumerate(np.bincount(rows, minlength=ctmc.n_states).tolist()):
+        pieces, end = [", "] if i else [], 0
         for j, x in itertools.islice(entries, count):  # the row's entries, in column order
             pieces += (zeros[end:5 * j + 1], x)
             end = 5 * j + 4
         yield "".join(pieces + [zeros[end:]])
+    yield (f'], "initial": {json.dumps(ctmc.initial.tolist())}, '
+           f'"absorbing": {json.dumps(ctmc.absorbing_index)}}}')
 
 
 def export_json(ctmc: CtmcExport) -> str:
     """json.dumps of labels, generator, initial and absorbing, making no Python float for a zero."""
-    rows = ", ".join(_json_rows(ctmc.generator))
-    return (f'{{"labels": {json.dumps(list(ctmc.labels))}, "generator": [{rows}], "initial": '
-            f'{json.dumps(ctmc.initial.tolist())}, "absorbing": {json.dumps(ctmc.absorbing_index)}}}')
+    return "".join(export_json_pieces(ctmc))
 
 
 def parse_ctmc_json(text: str) -> CtmcExport:

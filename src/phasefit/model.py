@@ -7,6 +7,7 @@ denotes an instantaneous branch (point mass at zero).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -181,7 +182,7 @@ def to_phase_type(model: GeneralizedCoxModel) -> PhaseTypeRep:
     chains = [b for b in model.branches if not b.instantaneous]
     lengths = tuple(b.length for b in chains)
     n = sum(lengths)
-    rates = np.fromiter((r for b in chains for r in b.rates), float, n)
+    rates = np.fromiter(itertools.chain.from_iterable(b.rates for b in chains), float, n)
     alpha = np.zeros(n)
     alpha[np.cumsum((0,) + lengths)[:-1]] = [b.prob for b in chains]  # first stages
     return PhaseTypeRep(model.atom_weight, alpha, rates, lengths)

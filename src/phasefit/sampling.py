@@ -11,6 +11,7 @@ import copy
 import itertools
 import math
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +72,9 @@ def sample_n(model: GeneralizedCoxModel, state: SamplerState, n: int) -> np.ndar
     start = state.counter
     try:
         branches = model.branches
-        if len(branches) == 1:  # idx: each draw's branch; offsets: stage uniforms before each draw
-            idx, offsets = None, np.arange(n + 1, dtype=np.int64) * branches[0].length
+        lengths = np.array([b.length for b in branches])
+        L, idx, offsets, who = int(lengths.max()), None, None, None  # idx: each draw's branch
+        if len(branches) == 1:
             state.skip(n)
         else:  # idx = min(searchsorted(cum, u), B - 1) a cut at a time: faster below about 150
             # branches (1e6 draws), in the smallest dtype; accumulate sums as cumsum does
@@ -80,52 +82,76 @@ def sample_n(model: GeneralizedCoxModel, state: SamplerState, n: int) -> np.ndar
             for cut in itertools.accumulate(b.prob for b in branches[:-1]):
                 idx += u > cut
             del u
+        out = vals = np.zeros(n)  # allocated after u: the two would double the peak
+        # _fill fills vals, a value per unit: unit i's stage uniforms start at starts[i], L i
+        # without offsets. Rates are negated: ln U / -rate has the bits of -ln U / rate
+        if idx is None:  # a unit is a draw; rates: the branch's, tiled over a chunk
+            rates = np.tile(np.negative(branches[0].rates), min(n, max(1, CHUNK // max(1, L))))
+        elif L <= 1:  # a unit is a draw with a stage; rates: each branch's, taken by idx
+            rates = np.negative([b.rates[0] if b.length else 1.0 for b in branches])
+            if not lengths.all():  # a single atom j: idx != j, one compare and no gather
+                who = np.flatnonzero(lengths[idx] if sum(lengths == 0) > 1 else idx != lengths.argmin())
+                idx, vals = idx[who], np.empty(len(who))
+        else:  # a unit is a draw; rates: (j, stage rates) of each branch j with stages
+            rates = [(j, np.negative(b.rates)) for j, b in enumerate(branches) if b.length]
             offsets = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.array([b.length for b in branches])[idx], out=offsets[1:])
-        total, out = int(offsets[-1]), np.zeros(n)
-        # (j, negated stage rates) of each branch with stages: ln U / -rate has the bits of -ln U / rate
-        stages = [(j, np.negative(b.rates)) for j, b in enumerate(branches) if b.length]
+            np.cumsum(lengths[idx], out=offsets[1:])
+        starts = range(0, len(vals) * L + 1, L or 1) if offsets is None else offsets
+        total = int(starts[-1])
         parts = max(1, min(WORKERS, total // PARALLEL_MIN))
-        # part p: draws cuts[p]..cuts[p+1]-1, about total / parts stage uniforms each
-        cuts = [0] + [int(np.searchsorted(offsets, total * p // parts)) for p in range(1, parts)] + [n]
-        if parts == 1:
-            _fill(state, 0, n, stages, idx, offsets, out)
-        else:  # imported here, as it imports logging (10 ms) that no other call needs
+        # part p: units cuts[p]..cuts[p+1]-1, about total / parts stage uniforms each
+        cuts = [0] + [bisect_left(starts, total * p // parts) for p in range(1, parts)] + [len(vals)]
+        args = (L, rates, idx, offsets, vals)
+        if parts == 1 and total:  # with no stage uniforms, every draw is 0
+            _fill(state, 0, len(vals), *args)
+        elif parts > 1:  # imported here, as it imports logging (10 ms) that no other call needs
             from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(parts - 1) as pool:  # leaving the block joins every helper
-                helpers = [pool.submit(_fill, copy.deepcopy(state).skip(int(offsets[lo])), lo, hi,
-                                       stages, idx, offsets, out) for lo, hi in zip(cuts[1:], cuts[2:])]
-                _fill(state, 0, cuts[1], stages, idx, offsets, out)
+                helpers = [pool.submit(_fill, copy.deepcopy(state).skip(int(starts[lo])), lo, hi,
+                                       *args) for lo, hi in zip(cuts[1:], cuts[2:])]
+                _fill(state, 0, cuts[1], *args)
                 for helper in helpers:
                     helper.result()  # raises what the helper raised
-            state.skip(total - int(offsets[cuts[1]]))  # past the helpers' parts
+            state.skip(total - int(starts[cuts[1]]))  # past the helpers' parts
+        if who is not None:
+            out[who] = vals
         return out
     except MemoryError:  # a per-draw array: refused, with the stream back where it was
         state.skip(start - state.counter)
         raise DomainError(f"{n} draws do not fit in memory") from None
 
 
+def _stage_sums(block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Each row's sum in np.add.reduceat's order, a0 + (a1 + ...), that seeded draws depend on:
+    numpy adds a1, a2, ... one by one from -0.0 (x + -0.0 is x, -0.0 too) below eight of them,
+    as the column adds here do, and pairwise from eight on, where reduceat itself sums."""
+    if block.shape[1] >= 9:
+        return np.add.reduceat(block.ravel(), np.arange(0, block.size, block.shape[1]), out=out)
+    for k in range(2, block.shape[1]):
+        np.add(block[:, 1], block[:, k], out=block[:, 1])
+    return np.add(block[:, 0], block[:, 1] if block.shape[1] > 1 else -0.0, out=out)
+
+
 @np.errstate(over="ignore")  # an inf draw raises MomentOverflow below
-def _fill(state, lo: int, hi: int, stages, idx, offsets, out) -> None:
-    """Draws lo..hi-1 of sample_n from a state at their first stage uniform, a chunk of at
-    most CHUNK stage uniforms (or one draw) at a time."""
-    buf = np.empty(min(offsets[hi] - offsets[lo], max([CHUNK] + [len(r) for _, r in stages])))
+def _fill(state, lo: int, hi: int, L: int, rates, idx, offsets, vals) -> None:
+    """Units lo..hi-1 of sample_n (see there) from a state at their first stage uniform, a
+    chunk of at most CHUNK stage uniforms (or one unit) at a time."""
+    buf = np.empty(min((hi - lo) * L if offsets is None else offsets[hi] - offsets[lo], max(CHUNK, L)))
     while lo < hi:
-        top = min(hi, max(int(np.searchsorted(offsets, offsets[lo] + CHUNK, "right")) - 1, lo + 1))
-        m = int(offsets[top] - offsets[lo])
+        top = min(hi, lo + max(1, CHUNK // L) if offsets is None else
+                  max(bisect_right(offsets, offsets[lo] + CHUNK) - 1, lo + 1))
+        m = (top - lo) * L if offsets is None else int(offsets[top] - offsets[lo])
         u = np.log(state.uniforms(m, buf), out=buf[:m])
-        for j, r in stages:
-            rows = slice(None) if idx is None else np.flatnonzero(idx[lo:top] == j)
-            if idx is None or rows.size == top - lo:  # every draw of the chunk is on branch j
-                block = u.reshape(-1, len(r))
-            else:  # no rows: an empty gather, divide and reduceat
+        if offsets is not None:
+            for j, r in rates:  # no rows: an empty gather, divide and sum
+                rows = np.flatnonzero(idx[lo:top] == j)
                 block = u[(offsets[lo:top][rows] - offsets[lo])[:, None] + np.arange(len(r))]
-            np.divide(block, r, out=block)
-            # reduceat adds a0 + (a1 + ...), in partial sums from nine stages
-            # on; seeded draws depend on that order for L >= 3. One stage: a copy
-            out[lo:top][rows] = block.ravel() if len(r) == 1 else np.add.reduceat(
-                block.ravel(), np.arange(0, block.size, len(r)))
-        if not np.isfinite(out[lo:top]).all():
+                vals[lo:top][rows] = _stage_sums(np.divide(block, r, out=block))
+        elif L == 1:  # straight into vals
+            np.divide(u, rates[:m] if idx is None else rates[idx[lo:top]], out=vals[lo:top])
+        else:
+            _stage_sums(np.divide(u, rates[:m], out=u).reshape(-1, L), out=vals[lo:top])
+        if not np.isfinite(vals[lo:top]).all():
             raise MomentOverflow("a draw exceeds the float range")
         lo = top
 

@@ -288,9 +288,10 @@ def test_sample_n_golden_stream(name, n):
 
 def test_sample_n_memory_bound():
     # the unchunked kernel held six to eight arrays of n * 20 doubles: 801 MiB,
-    # and the kernel chunked by draws 47.5 MiB. Now the draws and their stage
-    # offsets (7.6 MiB each) and one CHUNK buffer (256 KiB) per thread: 16.6 MiB
-    # measured on two threads. The bound adds 1 MiB and any further buffers.
+    # the kernel chunked by draws 47.5 MiB, and with per-draw stage offsets
+    # 16.6 MiB. Now the draws (7.6 MiB), one CHUNK buffer (256 KiB) per thread
+    # and one row of tiled rates (256 KiB): 9.7 MiB measured on two threads.
+    # The bound adds 1 MiB and the buffers of any further threads.
     tracemalloc.start()
     try:
         xs = sample_n(GOLDEN_MODELS["almost_erlang20"], SamplerState(1), 1_000_000)
@@ -298,7 +299,23 @@ def test_sample_n_memory_bound():
     finally:
         tracemalloc.stop()
     assert xs.shape == (1_000_000,) and np.all(xs > 0.0)
-    assert peak < 16.6 * 2**20 + (sampling.WORKERS - 2) * sampling.CHUNK * 8 + 2**20
+    assert peak < 9.7 * 2**20 + (sampling.WORKERS - 2) * sampling.CHUNK * 8 + 2**20
+
+
+@pytest.mark.parametrize("stages", range(1, 13))
+def test_stage_sums_match_reduceat(stages):
+    # the order of the sum fixes its bits: terms spread over many binades, and rows
+    # of signed zeros, where only reduceat's own start from -0.0 keeps a -0.0
+    rng = np.random.default_rng(stages)
+    block = rng.exponential(size=(4000, stages)) * np.exp(rng.uniform(-30.0, 30.0, (4000, stages)))
+    block[:50] = -0.0
+    block[50:100] = rng.choice([0.0, -0.0], size=(50, stages))
+    block[100:150, 1:] = -0.0
+    want = np.add.reduceat(block.ravel(), np.arange(0, block.size, stages)).tobytes()
+    assert sampling._stage_sums(block.copy()).tobytes() == want
+    out = np.empty(len(block))
+    sampling._stage_sums(block.copy(), out=out)
+    assert out.tobytes() == want
 
 
 def _run(model, n, seed=103):
