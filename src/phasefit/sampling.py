@@ -82,28 +82,30 @@ def sample_n(model: GeneralizedCoxModel, state: SamplerState, n: int) -> np.ndar
             for cut in itertools.accumulate(b.prob for b in branches[:-1]):
                 idx += u > cut
             del u
-        out = vals = np.zeros(n)  # allocated after u: the two would double the peak
-        # _fill fills vals, a value per unit: unit i's stage uniforms start at starts[i], L i
+        out = np.zeros(n)  # allocated after u: the two would double the peak
+        # _fill fills out a unit at a time: unit i's stage uniforms start at starts[i], L i
         # without offsets. Rates are negated: ln U / -rate has the bits of -ln U / rate
         if idx is None:  # a unit is a draw; rates: the branch's, tiled over a chunk
             rates = np.tile(np.negative(branches[0].rates), min(n, max(1, CHUNK // max(1, L))))
-        elif L <= 1:  # a unit is a draw with a stage; rates: each branch's, taken by idx
-            rates = np.negative([b.rates[0] if b.length else 1.0 for b in branches])
-            if not lengths.all():  # a single atom j: idx != j, one compare and no gather
-                who = np.flatnonzero(lengths[idx] if sum(lengths == 0) > 1 else idx != lengths.argmin())
-                idx, vals = idx[who], np.empty(len(who))
+        elif L <= 1:  # a unit is a draw with a stage, draw who[i] where some have none
+            rates = np.negative([b.rates[0] if b.length else 1.0 for b in branches])  # by idx
+            if not lengths.all():  # a single atom j: idx != j, a compare and no gather
+                who = np.flatnonzero(idx != lengths.argmin() if sum(lengths == 0) == 1
+                                     else (lengths > 0)[idx])
+                idx = idx[who]
         else:  # a unit is a draw; rates: (j, stage rates) of each branch j with stages
             rates = [(j, np.negative(b.rates)) for j, b in enumerate(branches) if b.length]
             offsets = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(lengths[idx], out=offsets[1:])
-        starts = range(0, len(vals) * L + 1, L or 1) if offsets is None else offsets
+        units = n if who is None else len(who)
+        starts = range(0, units * L + 1, L or 1) if offsets is None else offsets
         total = int(starts[-1])
         parts = max(1, min(WORKERS, total // PARALLEL_MIN))
         # part p: units cuts[p]..cuts[p+1]-1, about total / parts stage uniforms each
-        cuts = [0] + [bisect_left(starts, total * p // parts) for p in range(1, parts)] + [len(vals)]
-        args = (L, rates, idx, offsets, vals)
+        cuts = [0] + [bisect_left(starts, total * p // parts) for p in range(1, parts)] + [units]
+        args = (L, rates, idx, offsets, who, out)
         if parts == 1 and total:  # with no stage uniforms, every draw is 0
-            _fill(state, 0, len(vals), *args)
+            _fill(state, 0, units, *args)
         elif parts > 1:  # imported here, as it imports logging (10 ms) that no other call needs
             from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(parts - 1) as pool:  # leaving the block joins every helper
@@ -113,8 +115,6 @@ def sample_n(model: GeneralizedCoxModel, state: SamplerState, n: int) -> np.ndar
                 for helper in helpers:
                     helper.result()  # raises what the helper raised
             state.skip(total - int(starts[cuts[1]]))  # past the helpers' parts
-        if who is not None:
-            out[who] = vals
         return out
     except MemoryError:  # a per-draw array: refused, with the stream back where it was
         state.skip(start - state.counter)
@@ -133,7 +133,7 @@ def _stage_sums(block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 @np.errstate(over="ignore")  # an inf draw raises MomentOverflow below
-def _fill(state, lo: int, hi: int, L: int, rates, idx, offsets, vals) -> None:
+def _fill(state, lo: int, hi: int, L: int, rates, idx, offsets, who, out) -> None:
     """Units lo..hi-1 of sample_n (see there) from a state at their first stage uniform, a
     chunk of at most CHUNK stage uniforms (or one unit) at a time."""
     buf = np.empty(min((hi - lo) * L if offsets is None else offsets[hi] - offsets[lo], max(CHUNK, L)))
@@ -146,12 +146,14 @@ def _fill(state, lo: int, hi: int, L: int, rates, idx, offsets, vals) -> None:
             for j, r in rates:  # no rows: an empty gather, divide and sum
                 rows = np.flatnonzero(idx[lo:top] == j)
                 block = u[(offsets[lo:top][rows] - offsets[lo])[:, None] + np.arange(len(r))]
-                vals[lo:top][rows] = _stage_sums(np.divide(block, r, out=block))
-        elif L == 1:  # straight into vals
-            np.divide(u, rates[:m] if idx is None else rates[idx[lo:top]], out=vals[lo:top])
+                out[lo:top][rows] = _stage_sums(np.divide(block, r, out=block))
+        elif who is not None:  # onto the draws with a stage
+            out[who[lo:top]] = np.divide(u, rates[idx[lo:top]], out=u)
+        elif L == 1:  # straight into out
+            np.divide(u, rates[:m] if idx is None else rates[idx[lo:top]], out=out[lo:top])
         else:
-            _stage_sums(np.divide(u, rates[:m], out=u).reshape(-1, L), out=vals[lo:top])
-        if not np.isfinite(vals[lo:top]).all():
+            _stage_sums(np.divide(u, rates[:m], out=u).reshape(-1, L), out=out[lo:top])
+        if not np.isfinite(out[lo:top] if who is None else u).all():
             raise MomentOverflow("a draw exceeds the float range")
         lo = top
 

@@ -3,8 +3,8 @@ import math
 
 import pytest
 
-from phasefit import (SamplerState, model_from_json, model_to_json, sample_n, sampling,
-                      sauer_chandy)
+from phasefit import (SamplerState, exact_absorbing_ctmc, export_json, model_from_json,
+                      model_to_json, sample_n, sampling, sauer_chandy)
 from phasefit.cli import main
 from tests.test_sampling import HUGE, run_limited
 
@@ -164,6 +164,9 @@ class TestExport:
         data = json.loads(out)
         assert data["labels"] == ["B1.S1", "E"]
         assert data["absorbing"] == 1
+        # written a row at a time, with the bytes of the whole text
+        ctmc = exact_absorbing_ctmc(model_from_json(path.read_text()))
+        assert out == export_json(ctmc) + "\n"
 
     def test_dot(self, capsys, tmp_path):
         path = _write_model(capsys, tmp_path, 1, 0.4)

@@ -302,6 +302,23 @@ def test_sample_n_memory_bound():
     assert peak < 9.7 * 2**20 + (sampling.WORKERS - 2) * sampling.CHUNK * 8 + 2**20
 
 
+def test_sample_n_memory_bound_with_a_rare_atom():
+    # one draw in 21 is an atom: the draws (7.6 MiB), their branches and a mask (1 MiB
+    # each) and the indices of the draws with a stage (7.3 MiB): 16.9 to 17.5 MiB measured
+    # on one to three threads (18.2 to 19.2 MiB with per-draw stage offsets). The bound
+    # adds 1 MiB.
+    model = fit_two_moments(1.0, 1.1).model
+    assert [b.length for b in model.branches] == [1, 0]
+    tracemalloc.start()
+    try:
+        xs = sample_n(model, SamplerState(1), 1_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert xs.shape == (1_000_000,) and 0.04 < np.mean(xs == 0.0) < 0.055
+    assert peak < 17.5 * 2**20 + 2**20
+
+
 @pytest.mark.parametrize("stages", range(1, 13))
 def test_stage_sums_match_reduceat(stages):
     # the order of the sum fixes its bits: terms spread over many binades, and rows
