@@ -104,7 +104,8 @@ def cmd_export(args) -> int:
         ctmc = markov.approx_ctmc(model, args.approx_routing)
     else:
         ctmc = markov.exact_absorbing_ctmc(model)
-    if args.format == "ctmc-json":  # a row at a time: the whole text would double the peak
+    if args.format == "ctmc-json":  # by rows, as the whole text would double the peak; unlike
+        # sample and moments, a failure partway leaves the rows written so far on stdout
         sys.stdout.writelines(markov.export_json_pieces(ctmc))
         print()
     else:

@@ -145,9 +145,8 @@ def absorption_time_moments(ctmc: CtmcExport, k: int) -> float:
 
 
 def export_json_pieces(ctmc: CtmcExport):
-    """export_json's text in pieces, one per generator row, to be written as they come. A row is
-    a row of +0.0 with the repr of each entry that is not +0.0 spliced in, as json.dumps writes a
-    float; such entries are found by their bits, so -0.0 stays -0.0."""
+    """export_json's text a generator row at a time: a row of +0.0 with the repr of each entry that
+    is not +0.0 spliced in, as json.dumps writes a float; found by their bits, -0.0 stays -0.0."""
     rows, cols = np.nonzero(ctmc.generator.view(np.int64))
     entries = zip(cols.tolist(), map(repr, ctmc.generator[rows, cols].tolist()))
     zeros = f"[{', '.join(['0.0'] * ctmc.n_states)}]"  # its entry j is zeros[5 j + 1:5 j + 4]

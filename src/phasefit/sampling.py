@@ -8,6 +8,7 @@ always finite. sample_n is the one sampler; a single draw is sample_n(., 1).
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import math
 import os
@@ -89,10 +90,9 @@ def sample_n(model: GeneralizedCoxModel, state: SamplerState, n: int) -> np.ndar
             rates = np.tile(np.negative(branches[0].rates), min(n, max(1, CHUNK // max(1, L))))
         elif L <= 1:  # a unit is a draw with a stage, draw who[i] where some have none
             rates = np.negative([b.rates[0] if b.length else 1.0 for b in branches])  # by idx
-            if not lengths.all():  # a single atom j: idx != j, a compare and no gather
-                who = np.flatnonzero(idx != lengths.argmin() if sum(lengths == 0) == 1
-                                     else (lengths > 0)[idx])
-                idx = idx[who]
+            if not lengths.all():  # draws with a stage: idx != j for each atom j, and no gather
+                keep = (idx != j for j in np.flatnonzero(lengths == 0).tolist())  # uint8 compares
+                idx = idx[who := np.flatnonzero(functools.reduce(np.logical_and, keep))]
         else:  # a unit is a draw; rates: (j, stage rates) of each branch j with stages
             rates = [(j, np.negative(b.rates)) for j, b in enumerate(branches) if b.length]
             offsets = np.zeros(n + 1, dtype=np.int64)
@@ -122,14 +122,12 @@ def sample_n(model: GeneralizedCoxModel, state: SamplerState, n: int) -> np.ndar
 
 
 def _stage_sums(block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Each row's sum in np.add.reduceat's order, a0 + (a1 + ...), that seeded draws depend on:
-    numpy adds a1, a2, ... one by one from -0.0 (x + -0.0 is x, -0.0 too) below eight of them,
-    as the column adds here do, and pairwise from eight on, where reduceat itself sums."""
-    if block.shape[1] >= 9:
+    """Rows summed in np.add.reduceat's order, a0 + (a1 + ...), on which seeded draws depend."""
+    if block.shape[1] >= 9:  # numpy adds a1, a2, ... pairwise from eight on, below one by one
         return np.add.reduceat(block.ravel(), np.arange(0, block.size, block.shape[1]), out=out)
     for k in range(2, block.shape[1]):
         np.add(block[:, 1], block[:, k], out=block[:, 1])
-    return np.add(block[:, 0], block[:, 1] if block.shape[1] > 1 else -0.0, out=out)
+    return np.add(block[:, 0], block[:, 1] if block.shape[1] > 1 else -0.0, out=out)  # x + -0.0: x
 
 
 @np.errstate(over="ignore")  # an inf draw raises MomentOverflow below

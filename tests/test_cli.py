@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from phasefit import (SamplerState, exact_absorbing_ctmc, export_json, model_from_json,
+from phasefit import (SamplerState, exact_absorbing_ctmc, export_json, markov, model_from_json,
                       model_to_json, sample_n, sampling, sauer_chandy)
 from phasefit.cli import main
 from tests.test_sampling import HUGE, run_limited
@@ -167,6 +167,17 @@ class TestExport:
         # written a row at a time, with the bytes of the whole text
         ctmc = exact_absorbing_ctmc(model_from_json(path.read_text()))
         assert out == export_json(ctmc) + "\n"
+
+    def test_ctmc_json_failing_partway_leaves_the_rows_written(self, capsys, tmp_path,
+                                                                 monkeypatch):
+        # streamed, so stdout keeps what came before the failure, and the exit is still 2
+        def pieces(ctmc):
+            yield "first"
+            raise MemoryError
+        path = _write_model(capsys, tmp_path, 1, 4)
+        monkeypatch.setattr(markov, "export_json_pieces", pieces)
+        assert run_cli(capsys, "export", "--model", str(path), "--format", "ctmc-json") == (
+            2, "first", "error: MemoryError\n")
 
     def test_dot(self, capsys, tmp_path):
         path = _write_model(capsys, tmp_path, 1, 0.4)
