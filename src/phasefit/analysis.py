@@ -231,8 +231,9 @@ def _uniformized_apply(rep: PhaseTypeRep, t, v: np.ndarray):
                 ns, qt = np.arange(n0, n1, dtype=float), q * np.minimum(tb, 1e300 / q)
                 lp = ns * np.log(k / np.maximum(ns, 1.0)) + _nlogn_minus_logfact(ns) - k
                 a = np.append(alpha[0] * coeffs[n0:n1] * np.exp(lp), np.zeros(-m % b))
-                d, ys = k - qt, np.ones((b, len(qt)))  # x/k = 1 - d/k; n0 > 0 only if every x > 0
+                d, ys = k - qt, np.empty((b, len(qt)))  # x/k = 1 - d/k; n0 > 0 only if every x > 0
                 y, fac = 1.0 - d / k, np.exp(d + n0 * np.log1p(-d / k)) if n0 else np.exp(d)
+                ys[0] = 1.0
                 for i in range(1, b):
                     np.multiply(ys[i - 1], y, out=ys[i])
                 sums, yb = a.reshape(-1, b) @ ys, ys[-1] * y  # chunk i: a_(n0 + i b + j) y^j over j

@@ -424,6 +424,14 @@ def test_export_past_the_state_cap_exits_2(capsys, tmp_path):
     assert err.startswith("error: DomainError")
 
 
+def test_dot_export_past_the_state_cap_exits_0(capsys, tmp_path):
+    # the chain is edges, so only the dense ctmc-json text is capped
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"branches": [{"prob": 1.0, "rates": [5000.0] * 5000}]}))
+    code, out, err = run_cli(capsys, "export", "--model", str(path), "--format", "dot")
+    assert (code, err, out.count("->")) == (0, "", 5000)
+
+
 @pytest.mark.filterwarnings("error")
 def test_moments_past_order_170(capsys, tmp_path):
     path = tmp_path / "model.json"

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -123,8 +124,8 @@ class TestApproxExport:
             assert np.array_equal(c.generator[0, 1:], 1e3 * exact.initial)
             assert c.generator[0, 0] == -1e3
 
-    def test_routed_chain_at_the_cap_holds_one_generator(self):
-        # the generator and one n^2 boolean mask (1/8 of its bytes): 1.13 times
+    def test_routed_chain_at_the_cap_is_built_in_linear_memory(self):
+        # edges, exit rates and labels: about 0.7 MiB, where the dense generator is 128 MiB
         m = new_model([Branch(1.0, (1.0,) * MAX_STATES)])
         tracemalloc.start()
         try:
@@ -133,7 +134,7 @@ class TestApproxExport:
         finally:
             tracemalloc.stop()
         assert c.n_states == MAX_STATES + 2
-        assert peak < 1.25 * c.generator.nbytes
+        assert peak < 2 * 2**20
 
     def test_default_routing_builds_where_probabilities_round(self):
         # the routing row sums to big_lambda (sum p - 1): about 1e-12 of
@@ -217,17 +218,76 @@ class TestAbsorptionMoments:
             absorption_time_moments(exact_absorbing_ctmc(m), 2)
 
     def test_chain_past_the_state_cap_is_refused(self, monkeypatch):
+        # the chains are built; only their dense surfaces are refused, before any n^2 array
         m = erlang_approximation(1.0, MAX_STATES + 1).model
-        monkeypatch.setattr(markov, "to_phase_type", None)  # refused before any array is built
-        with pytest.raises(DomainError):
-            exact_absorbing_ctmc(m)
-        with pytest.raises(DomainError):
-            approx_ctmc(m)
+        exact, routed = exact_absorbing_ctmc(m), approx_ctmc(m)
+        monkeypatch.setattr(markov.np, "zeros", None)
+        for c in (exact, routed):
+            with pytest.raises(DomainError):
+                c.generator
+            with pytest.raises(DomainError):
+                export_json(c)
+
+    @pytest.mark.parametrize("n", [4096, 100_000])
+    def test_long_fits_match_moment_k(self, n):
+        # one back-substitution per order, with no dense block and no state cap
+        m = fit_two_moments(1.0, 1.0 / (n - 0.5)).model
+        assert m.n_transient == n
+        c = exact_absorbing_ctmc(m)
+        for k in (1, 2, 3, 4):
+            assert absorption_time_moments(c, k) == pytest.approx(moment_k(m, k), rel=1e-12, abs=0.0)
+
+    @staticmethod
+    def _routed_moment(m, big, k):
+        # the routed chain's time is T plus an independent Exp(big) sojourn in I
+        return sum(math.comb(k, j) * math.factorial(j) / big**j * (moment_k(m, k - j) if j < k else 1.0)
+                   for j in range(k + 1))
+
+    def test_routed_chains_match_moment_k(self):
+        rng = np.random.default_rng(24)
+        models = [random_model(rng, allow_instant=True) for _ in range(20)]
+        models.append(fit_two_moments(1.0, 1.0 / 4095.5).model)
+        for m in models:
+            big = 1e3 * max(m.max_rate, 1.0)
+            c = approx_ctmc(m, big)
+            for k in (1, 2, 3, 4):
+                assert absorption_time_moments(c, k) == pytest.approx(
+                    self._routed_moment(m, big, k), rel=1e-12, abs=0.0)
+
+    def test_fourth_moment_at_the_cap_is_fast(self):
+        m = fit_two_moments(1.0, 1.0 / 4095.5).model
+        start = time.perf_counter()
+        absorption_time_moments(exact_absorbing_ctmc(m), 4)
+        assert time.perf_counter() - start < 0.1
+
+    def test_parsed_chain_with_a_cycle_keeps_its_dense_solve(self):
+        # A and B feed each other, C feeds back into A: values of the dense solve before edge lists
+        gen = [[-3.0, 2.0, 0.7, 0.3], [1.0, -2.5, 0.5, 1.0], [0.2, 1.5, -2.0, 0.3], [0.0] * 4]
+        c = parse_ctmc_json(json.dumps({"labels": ["A", "B", "C", "E"], "generator": gen,
+                                        "initial": [0.6, 0.4, 0.0, 0.0], "absorbing": 3}))
+        want = [1.5795804195804193, 4.961468629272824, 23.393630353528316, 147.1435010782775,
+                6.022029590536762e+55]
+        for k, w in zip((1, 2, 3, 4, 40), want):
+            assert absorption_time_moments(c, k) == pytest.approx(w, rel=1e-12, abs=0.0)
+        assert c._plan is None
+
+    def test_acyclic_chain_in_any_state_order_is_back_substituted(self):
+        # Kahn's algorithm orders a permuted chain; its moments are those of the chain in order
+        m = new_model([Branch(0.25, ()), Branch(0.35, (1.0, 2.0, 3.0)), Branch(0.4, (0.5,) * 7)])
+        c = approx_ctmc(m, 1e3)
+        perm = np.random.default_rng(25).permutation(c.n_states)
+        shuffled = CtmcExport.from_generator(tuple(c.labels[i] for i in perm),
+                                             c.generator[np.ix_(perm, perm)], c.initial[perm],
+                                             int(np.flatnonzero(perm == c.absorbing_index)[0]))
+        assert shuffled._plan is not None
+        for k in (1, 2, 3, 4):
+            assert absorption_time_moments(shuffled, k) == pytest.approx(
+                absorption_time_moments(c, k), rel=1e-12, abs=0.0)
 
     def test_reducible_chain_detected(self):
         # two transient states cycling between each other, E unreachable
         gen = np.array([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
-        c = CtmcExport(("A", "B", "E"), gen, np.array([1.0, 0.0, 0.0]), 2)
+        c = CtmcExport.from_generator(("A", "B", "E"), gen, np.array([1.0, 0.0, 0.0]), 2)
         with pytest.raises(ReducibleChain):
             absorption_time_moments(c, 1)
 
@@ -235,7 +295,7 @@ class TestAbsorptionMoments:
         # C feeds the cycle of A and B but reaches E itself: only A and B are named
         gen = np.array([[-1.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0],
                         [1.0, 0.0, -2.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
-        c = CtmcExport(("A", "B", "C", "E"), gen, np.array([0.0, 0.0, 1.0, 0.0]), 3)
+        c = CtmcExport.from_generator(("A", "B", "C", "E"), gen, np.array([0.0, 0.0, 1.0, 0.0]), 3)
         for k in (1, 2, 1, 3):
             with pytest.raises(ReducibleChain, match=r"\['A', 'B'\]"):
                 absorption_time_moments(c, k)
@@ -284,6 +344,24 @@ class TestSerialization:
         if c.n_states <= 200:  # json.loads of 4096^2 rates holds as many Python floats
             assert export_json(parse_ctmc_json(text)) == text
 
+    def test_parse_reads_the_generator_a_row_at_a_time(self):
+        # json.loads of the whole text held a Python float per rate: 8 times the text's bytes
+        m = new_model([Branch(1.0, tuple(float(i % 7 + 1) for i in range(600)))])
+        text = export_json(exact_absorbing_ctmc(m))
+        tracemalloc.start()
+        try:
+            c = parse_ctmc_json(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert c.n_states == 601 and len(c.edges) == 600
+        assert peak < len(text) / 2
+
+    def test_chain_past_the_state_cap_exports_as_dot(self):
+        m = new_model([Branch(1.0, (2.0,) * (MAX_STATES + 1))])
+        dot = export_dot(exact_absorbing_ctmc(m))
+        assert dot.count("->") == MAX_STATES + 1
+
     @staticmethod
     def _dumps(c):
         return json.dumps({"labels": list(c.labels), "generator": c.generator.tolist(),
@@ -293,7 +371,7 @@ class TestSerialization:
         # -0.0 is a nonnegative rate and a zero row's entry; json.dumps writes it as -0.0
         gen = np.array([[-2.0, -0.0, 2.0, 0.0], [0.0, -1.5, -0.0, 1.5],
                         [-0.0, 0.0, -1e-300, 1e-300], [0.0, -0.0, 0.0, -0.0]])
-        c = CtmcExport(("A", "B", "C", "E"), gen, np.array([0.5, 0.5, -0.0, 0.0]), 3)
+        c = CtmcExport.from_generator(("A", "B", "C", "E"), gen, np.array([0.5, 0.5, -0.0, 0.0]), 3)
         text = export_json(c)
         assert text == self._dumps(c) and text.count("-0.0") == 6  # one in initial
         assert export_json(parse_ctmc_json(text)) == text
@@ -375,7 +453,7 @@ _E2 = [[-2.0, 2.0, 0.0], [0.0, -2.0, 2.0], [0.0, 0.0, 0.0]]
         "infinite_rate", "negative_initial"])
 def test_invalid_ctmc_is_malformed(labels, gen, init, absorbing):
     with pytest.raises(MalformedModel):
-        CtmcExport(labels, np.array(gen), np.array(init), absorbing)
+        CtmcExport.from_generator(labels, np.array(gen), np.array(init), absorbing)
     text = json.dumps({"labels": list(labels), "generator": gen, "initial": init,
                        "absorbing": absorbing})
     with pytest.raises(MalformedModel):
