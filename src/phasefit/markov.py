@@ -102,19 +102,16 @@ class CtmcExport:
         bounds = np.searchsorted(edges["source"], np.arange(n + 1)).tolist()
         pairs = list(zip(edges["target"].tolist(), edges["rate"].tolist()))
         succ = [pairs[bounds[i]:bounds[i + 1]] for i in range(n)]
-        if np.all(edges["target"] > edges["source"]):  # so is every chain phasefit builds
-            order = range(n)
-        else:
-            indegree = np.bincount(edges["target"], minlength=n).tolist()
-            ready, order = [i for i in range(n) if not indegree[i]], []
-            while ready:
-                order.append(ready.pop())
-                for j, _ in succ[order[-1]]:
-                    indegree[j] -= 1
-                    if not indegree[j]:
-                        ready.append(j)
-            if len(order) < n:
-                return None
+        indegree = np.bincount(edges["target"], minlength=n).tolist()
+        ready, order = [i for i in range(n) if not indegree[i]], []
+        while ready:
+            order.append(ready.pop())
+            for j, _ in succ[order[-1]]:
+                indegree[j] -= 1
+                if not indegree[j]:
+                    ready.append(j)
+        if len(order) < n:
+            return None
         exits = self.exits.tolist()
         return [(i, exits[i], succ[i]) for i in reversed(order) if i != self.absorbing_index]
 
