@@ -188,7 +188,7 @@ def _uniformized_apply(rep: PhaseTypeRep, t, v: np.ndarray):
     Pois(n; k) (x/k)^(n-n0), one exp per term and per time, summed by blocked Horner (Paterson &
     Stockmeyer, SIAM J. Comput. 2(1), 1973).
     """
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    ts = np.asarray(t, dtype=float).ravel()
     t_lo, t_hi = float(np.min(ts, initial=0.0)), float(np.max(ts, initial=0.0))
     if not (t_lo >= 0.0 and t_hi < math.inf):  # a NaN fails the first test
         raise NegativeTime(f"cdf and pdf need finite t >= 0, got {t_hi if t_lo >= 0.0 else t_lo!r}")
@@ -242,7 +242,7 @@ def _uniformized_apply(rep: PhaseTypeRep, t, v: np.ndarray):
                     sums[-1] += sums[i]
                 out[lo:lo + len(qt)] += sums[-1] * fac  # times (x/k)^n0 e^(k-x)
                 lo, rows = lo + len(qt), max(1, CHUNK // width)
-    return float(out[0]) if np.ndim(t) == 0 else out
+    return float(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
 
 
 def pdf(model: GeneralizedCoxModel, t):

@@ -15,7 +15,7 @@ import json
 import math
 import operator
 import re
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,33 +35,32 @@ EDGE = np.dtype([("source", np.intp), ("target", np.intp), ("rate", float)])
 _PUNCT = re.compile(r"[ \t\n\r]*([][{}:,])[ \t\n\r]*")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CtmcExport:
     """A validated absorbing CTMC: its edges and each state's exit rate, the negated diagonal (so
     -0.0 for a +0.0). Given a dense generator, both come from it. The generator is a dense view,
-    built on demand; dataclasses.replace passes it on, so past the cap give it generator=None.
-    The arrays must not be changed in place: the order of the states and whether each reaches the
-    absorbing one are worked out once per export and kept with it."""
+    built on demand. The arrays must not be changed in place: the order of the states and whether
+    each reaches the absorbing one are worked out once per export and kept with it."""
 
     labels: tuple[str, ...]
     edges: np.ndarray
     exits: np.ndarray
     initial: np.ndarray
     absorbing_index: int
-    generator: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, generator):
-        n = len(self.labels)
-        edges, exits = self.edges, self.exits
+    def __init__(self, labels, edges, exits, initial, absorbing_index, generator=None):
+        if not (isinstance(labels, (list, tuple)) and all(isinstance(s, str) for s in labels)):
+            raise MalformedModel("labels must be a list of strings")
+        if isinstance(absorbing_index, bool) or not isinstance(absorbing_index, (int, np.integer)):
+            raise MalformedModel("the absorbing index must be an integer")
+        labels, n = tuple(labels), len(labels)
         if generator is not None:
             gen = np.asarray(generator, dtype=float)
             if gen.shape != (n, n):
                 raise MalformedModel("generator/initial shapes must match labels")
             edges, exits, _ = _sparse(gen)
         edges, exits = np.asarray(edges, EDGE), np.asarray(exits, dtype=float)
-        init = np.asarray(self.initial, dtype=float)
-        for name, value in (("edges", edges), ("exits", exits), ("initial", init)):
-            object.__setattr__(self, name, value)
+        init = np.asarray(initial, dtype=float)
         if exits.shape != (n,) or init.shape != (n,) or edges.ndim != 1:
             raise MalformedModel("generator/initial shapes must match labels")
         src, dst, rate = edges["source"], edges["target"], edges["rate"]
@@ -75,10 +74,13 @@ class CtmcExport:
         if not np.all(rate >= 0.0):
             raise MalformedModel("off-diagonal rates must be nonnegative")
         zero_rows = np.flatnonzero(exits == 0.0)  # by the row sums, only zero rates leave these
-        if len(zero_rows) != 1 or zero_rows[0] != self.absorbing_index:
+        if len(zero_rows) != 1 or zero_rows[0] != absorbing_index:
             raise MalformedModel("exactly one absorbing (zero) row is required")
         if not (np.all(init >= 0.0) and abs(init.sum() - 1.0) <= 1e-9):
             raise MalformedModel("initial distribution must be nonnegative and sum to 1")
+        for name, value in zip(("labels", "edges", "exits", "initial", "absorbing_index"),
+                               (labels, edges, exits, init, int(absorbing_index))):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_generator(cls, labels, generator, initial, absorbing_index) -> CtmcExport:
@@ -93,6 +95,16 @@ class CtmcExport:
     @property
     def n_states(self) -> int:
         return len(self.labels)
+
+    @property
+    def generator(self) -> np.ndarray:
+        """The dense generator, built afresh on each read; refused past the cap."""
+        _refuse_past_the_cap(self, "a dense generator")
+        n = self.n_states
+        gen = np.zeros((n, n))
+        gen[self.edges["source"], self.edges["target"]] = self.edges["rate"]
+        gen[np.diag_indices(n)] = -self.exits
+        return gen
 
     @functools.cached_property
     def _plan(self) -> list[tuple[int, float, list[tuple[int, float]]]] | None:
@@ -124,19 +136,6 @@ class CtmcExport:
 def _refuse_past_the_cap(ctmc: CtmcExport, what: str):
     if ctmc.n_states - 1 > MAX_STATES:
         raise DomainError(f"{what} of {ctmc.n_states - 1} transient states is more than {MAX_STATES}")
-
-
-def _dense(ctmc: CtmcExport) -> np.ndarray:
-    """The dense generator, refused past the cap."""
-    _refuse_past_the_cap(ctmc, "a dense generator")
-    n = ctmc.n_states
-    gen = np.zeros((n, n))
-    gen[ctmc.edges["source"], ctmc.edges["target"]] = ctmc.edges["rate"]
-    gen[np.diag_indices(n)] = -ctmc.exits
-    return gen
-
-
-CtmcExport.generator = property(_dense)  # set here so that the InitVar keeps its default of None
 
 
 def _edges(sources, targets, rates) -> np.ndarray:
@@ -315,10 +314,10 @@ def parse_ctmc_json(text: str) -> CtmcExport:
             data[key] = _sparse(value() for _ in items("[", "]")) if key == "generator" else value()
         if pos != len(text):
             raise ValueError(f"extra data at character {pos}")
-        labels, (edges, exits, lengths) = tuple(data["labels"]), data["generator"]
+        labels, (edges, exits, lengths) = data["labels"], data["generator"]
         if lengths != [len(labels)] * len(labels):
             raise ValueError("the generator must hold one row per label, one entry per label")
-        fields = (labels, edges, exits, np.array(data["initial"], dtype=float), int(data["absorbing"]))
+        fields = (labels, edges, exits, np.array(data["initial"], dtype=float), data["absorbing"])
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise MalformedModel(f"malformed CTMC data: {type(exc).__name__}: {exc}") from exc
     return CtmcExport(*fields)

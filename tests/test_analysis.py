@@ -401,6 +401,15 @@ def test_a_shuffled_grid_over_many_decades_matches_scalar_calls_and_the_referenc
         np.testing.assert_allclose(got[near], want, rtol=1e-13, atol=1e-13)
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_MODELS))
+def test_a_2d_array_of_times_gives_the_values_of_its_raveled_times_in_its_shape(name):
+    m = GOLDEN_MODELS[name]
+    ts = np.linspace(0.0, mean(m) + 8.0 * math.sqrt(variance(m)), 50)
+    for f in (cdf, pdf):
+        got = f(m, ts.reshape(2, -1))
+        assert got.shape == (2, 25) and got.tobytes() == f(m, ts).tobytes()
+
+
 def test_cdf_and_pdf_far_past_the_mean_stop_the_stage_recurrence_early():
     # each step of the recurrence takes convex combinations of the stage values and 0, so
     # once none passes 2^-53 of the largest no later term can matter: at 1e5 means this

@@ -317,6 +317,19 @@ class TestAbsorptionMoments:
         with pytest.raises(ReducibleChain):
             absorption_time_moments(dataclasses.replace(c, generator=gen), 1)
 
+    def test_replace_keeps_the_edges_and_builds_no_dense_view(self):
+        # past the cap a dense view is refused, and under it one is 128 MiB
+        c = exact_absorbing_ctmc(erlang_approximation(1.0, 5000).model)
+        assert dataclasses.replace(c) == c
+        c = exact_absorbing_ctmc(erlang_approximation(1.0, MAX_STATES).model)
+        tracemalloc.start()
+        try:
+            copy = dataclasses.replace(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert copy == c and peak < 2**20
+
 
 class TestSerialization:
     def test_json_round_trip(self):
@@ -425,13 +438,22 @@ class TestSerialization:
         assert lines[3 + ctmc.n_states:] == edges + ["}"]
 
 
+def _two_state_text(**changes):
+    return json.dumps({"labels": ["A", "E"], "generator": [[-1, 1], [0, 0]], "initial": [1, 0],
+                       "absorbing": 1, **changes})
+
+
 @pytest.mark.parametrize("text", ['{}', '[1]', 'nope', '{"labels": ["A"]}',
-                                  '{"labels": ["A", "E"], "generator": [[-1, 1], [0, 0]], '
-                                  '"initial": [1, 0], "absorbing": "last"}',
+                                  _two_state_text(absorbing="last"),
                                   '{"labels": ["A"], "generator": [[0], [1, 2]], '
-                                  '"initial": [1], "absorbing": 0}', "[" * 100_000],
+                                  '"initial": [1], "absorbing": 0}', "[" * 100_000,
+                                  _two_state_text(absorbing=1.5), _two_state_text(absorbing=True),
+                                  _two_state_text(absorbing="1"), _two_state_text(labels="AE"),
+                                  _two_state_text(labels=[1, 2]), _two_state_text(labels=[None, "E"])],
                          ids=["empty_object", "list", "not_json", "missing_fields",
-                              "absorbing_not_int", "ragged_generator", "deeply_nested"])
+                              "absorbing_not_int", "ragged_generator", "deeply_nested",
+                              "absorbing_float", "absorbing_bool", "absorbing_string",
+                              "labels_string", "labels_not_strings", "labels_null"])
 def test_unreadable_ctmc_json_is_malformed(text):
     with pytest.raises(MalformedModel):
         parse_ctmc_json(text)
