@@ -38,9 +38,11 @@ _PUNCT = re.compile(r"[ \t\n\r]*([][{}:,])[ \t\n\r]*")
 @dataclass(frozen=True, init=False)
 class CtmcExport:
     """A validated absorbing CTMC: its edges and each state's exit rate, the negated diagonal (so
-    -0.0 for a +0.0). Given a dense generator, both come from it. The generator is a dense view,
-    built on demand. The arrays must not be changed in place: the order of the states and whether
-    each reaches the absorbing one are worked out once per export and kept with it."""
+    -0.0 for a +0.0). Given a dense generator=, both come from it. An argument that does not
+    convert, or a list of rates or probabilities that holds anything but ints and floats, raises
+    MalformedModel. The generator is a dense view, built on demand.
+    The arrays must not be changed in place: only the order of the states is worked out once per
+    export and kept with it."""
 
     labels: tuple[str, ...]
     edges: np.ndarray
@@ -48,19 +50,19 @@ class CtmcExport:
     initial: np.ndarray
     absorbing_index: int
 
+    @np.errstate(over="ignore")  # a sum past the float range is inf, and fails its check
     def __init__(self, labels, edges, exits, initial, absorbing_index, generator=None):
         if not (isinstance(labels, (list, tuple)) and all(isinstance(s, str) for s in labels)):
             raise MalformedModel("labels must be a list of strings")
         if isinstance(absorbing_index, bool) or not isinstance(absorbing_index, (int, np.integer)):
             raise MalformedModel("the absorbing index must be an integer")
         labels, n = tuple(labels), len(labels)
-        if generator is not None:
-            gen = np.asarray(generator, dtype=float)
-            if gen.shape != (n, n):
-                raise MalformedModel("generator/initial shapes must match labels")
-            edges, exits, _ = _sparse(gen)
-        edges, exits = np.asarray(edges, EDGE), np.asarray(exits, dtype=float)
-        init = np.asarray(initial, dtype=float)
+        try:
+            if generator is not None:
+                edges, exits = _sparse(generator)
+            edges, exits, init = np.asarray(edges, EDGE), _floats(exits), _floats(initial)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise MalformedModel(f"malformed CTMC data: {type(exc).__name__}: {exc}") from exc
         if exits.shape != (n,) or init.shape != (n,) or edges.ndim != 1:
             raise MalformedModel("generator/initial shapes must match labels")
         src, dst, rate = edges["source"], edges["target"], edges["rate"]
@@ -81,11 +83,6 @@ class CtmcExport:
         for name, value in zip(("labels", "edges", "exits", "initial", "absorbing_index"),
                                (labels, edges, exits, init, int(absorbing_index))):
             object.__setattr__(self, name, value)
-
-    @classmethod
-    def from_generator(cls, labels, generator, initial, absorbing_index) -> CtmcExport:
-        """The chain of a dense generator."""
-        return cls(labels, None, None, initial, absorbing_index, generator)
 
     def __eq__(self, other):
         return type(other) is CtmcExport and all(
@@ -127,11 +124,6 @@ class CtmcExport:
         exits = self.exits.tolist()
         return [(i, exits[i], succ[i]) for i in reversed(order) if i != self.absorbing_index]
 
-    @functools.cached_property
-    def _absorbable(self) -> bool:  # not a field, so == ignores it
-        # without a cycle every state's positive edges lead on, to the one state with no exit
-        return self._plan is not None or not _unreachable(self)
-
 
 def _refuse_past_the_cap(ctmc: CtmcExport, what: str):
     if ctmc.n_states - 1 > MAX_STATES:
@@ -144,21 +136,29 @@ def _edges(sources, targets, rates) -> np.ndarray:
     return edges
 
 
-def _sparse(rows) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """The edges, exit rates and row lengths of a generator given row by row: each row keeps only
-    its entries that are not +0.0, found by their bits, so -0.0 stays -0.0."""
-    parts, exits, lengths = [], [], []
+def _floats(values) -> np.ndarray:
+    """values as floats; a list or tuple must hold ints and floats alone, not strings or bools."""
+    if isinstance(values, (list, tuple)) and not set(map(type, values)) <= {int, float}:
+        raise TypeError("rates and probabilities must be numbers")
+    return np.asarray(values, dtype=float)
+
+
+def _sparse(rows) -> tuple[np.ndarray, np.ndarray]:
+    """The edges and exit rates of a square generator given row by row: each row keeps only its
+    entries that are not +0.0, found by their bits, so -0.0 stays -0.0."""
+    parts, exits, width = [], [], None
     for i, row in enumerate(rows):
-        row = np.array(row, dtype=float)
-        if row.ndim != 1 or i >= len(row):
-            raise ValueError(f"generator row {i} has no diagonal entry")
+        row = _floats(row)
+        width = width or len(row)
+        if row.shape != (width,) or i >= width:
+            raise ValueError(f"generator row {i} does not hold one entry per row")
         exits.append(-row[i])
-        row[i] = 0.0
         cols = np.flatnonzero(row.view(np.int64))
+        cols = cols[cols != i]
         parts.append((np.full(len(cols), i), cols, row[cols]))
-        lengths.append(len(row))
-    edges = _edges(*map(np.concatenate, zip(*parts))) if parts else np.empty(0, EDGE)
-    return edges, np.array(exits), lengths
+    if len(exits) != width:
+        raise ValueError("the generator must hold one row per entry of a row")
+    return _edges(*map(np.concatenate, zip(*parts))), np.array(exits)
 
 
 def _chain(model: GeneralizedCoxModel, big_lambda: float | None) -> CtmcExport:
@@ -232,8 +232,8 @@ def absorption_time_moments(ctmc: CtmcExport, k: int) -> float:
     time unit of analysis._unit_exponent."""
     if k < 1:
         raise NonPositiveInput("moment order must be >= 1")
-    if not ctmc._absorbable:  # a reducible chain is refused on every call
-        raise ReducibleChain(f"absorbing state unreachable from {_unreachable(ctmc)}")
+    if ctmc._plan is None and (unreachable := _unreachable(ctmc)):  # acyclic: every state reaches E
+        raise ReducibleChain(f"absorbing state unreachable from {unreachable}")
     a = ctmc.initial.tolist()
     a[ctmc.absorbing_index] = 0.0
     if not any(a):  # no mass starts in a transient state
@@ -314,11 +314,8 @@ def parse_ctmc_json(text: str) -> CtmcExport:
             data[key] = _sparse(value() for _ in items("[", "]")) if key == "generator" else value()
         if pos != len(text):
             raise ValueError(f"extra data at character {pos}")
-        labels, (edges, exits, lengths) = data["labels"], data["generator"]
-        if lengths != [len(labels)] * len(labels):
-            raise ValueError("the generator must hold one row per label, one entry per label")
-        fields = (labels, edges, exits, np.array(data["initial"], dtype=float), data["absorbing"])
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        fields = (data["labels"], *data["generator"], data["initial"], data["absorbing"])
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise MalformedModel(f"malformed CTMC data: {type(exc).__name__}: {exc}") from exc
     return CtmcExport(*fields)
 

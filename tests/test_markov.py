@@ -26,8 +26,9 @@ from phasefit import (
     sauer_chandy,
 )
 from phasefit import markov
-from phasefit.errors import DomainError, MalformedModel, MomentOverflow, NonPositiveRate, ReducibleChain
-from phasefit.markov import MAX_STATES, CtmcExport
+from phasefit.errors import (DomainError, MalformedModel, MomentOverflow, NonPositiveInput,
+                             NonPositiveRate, ReducibleChain)
+from phasefit.markov import EDGE, MAX_STATES, CtmcExport
 from tests.test_analysis import random_model
 
 
@@ -154,6 +155,10 @@ class TestAbsorptionMoments:
         c = exact_absorbing_ctmc(exponential_model(4.0))
         assert absorption_time_moments(c, 1) == pytest.approx(0.25)
 
+    def test_order_below_one_is_refused(self):
+        with pytest.raises(NonPositiveInput):
+            absorption_time_moments(exact_absorbing_ctmc(exponential_model(4.0)), 0)
+
     def test_matches_analysis_up_to_k4(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
@@ -276,9 +281,9 @@ class TestAbsorptionMoments:
         m = new_model([Branch(0.25, ()), Branch(0.35, (1.0, 2.0, 3.0)), Branch(0.4, (0.5,) * 7)])
         c = approx_ctmc(m, 1e3)
         perm = np.random.default_rng(25).permutation(c.n_states)
-        shuffled = CtmcExport.from_generator(tuple(c.labels[i] for i in perm),
-                                             c.generator[np.ix_(perm, perm)], c.initial[perm],
-                                             int(np.flatnonzero(perm == c.absorbing_index)[0]))
+        shuffled = CtmcExport(tuple(c.labels[i] for i in perm), None, None, c.initial[perm],
+                              int(np.flatnonzero(perm == c.absorbing_index)[0]),
+                              generator=c.generator[np.ix_(perm, perm)])
         assert shuffled._plan is not None
         for k in (1, 2, 3, 4):
             assert absorption_time_moments(shuffled, k) == pytest.approx(
@@ -287,7 +292,7 @@ class TestAbsorptionMoments:
     def test_reducible_chain_detected(self):
         # two transient states cycling between each other, E unreachable
         gen = np.array([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
-        c = CtmcExport.from_generator(("A", "B", "E"), gen, np.array([1.0, 0.0, 0.0]), 2)
+        c = CtmcExport(("A", "B", "E"), None, None, np.array([1.0, 0.0, 0.0]), 2, generator=gen)
         with pytest.raises(ReducibleChain):
             absorption_time_moments(c, 1)
 
@@ -295,7 +300,8 @@ class TestAbsorptionMoments:
         # C feeds the cycle of A and B but reaches E itself: only A and B are named
         gen = np.array([[-1.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0],
                         [1.0, 0.0, -2.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
-        c = CtmcExport.from_generator(("A", "B", "C", "E"), gen, np.array([0.0, 0.0, 1.0, 0.0]), 3)
+        c = CtmcExport(("A", "B", "C", "E"), None, None, np.array([0.0, 0.0, 1.0, 0.0]), 3,
+                       generator=gen)
         for k in (1, 2, 1, 3):
             with pytest.raises(ReducibleChain, match=r"\['A', 'B'\]"):
                 absorption_time_moments(c, k)
@@ -304,9 +310,9 @@ class TestAbsorptionMoments:
         assert "must not be changed in place" in CtmcExport.__doc__
         c = exact_absorbing_ctmc(erlang_approximation(1.0, 3).model)
         first = absorption_time_moments(c, 2)
-        assert vars(c)["_absorbable"] is True  # the verdict alone is kept
+        assert vars(c)["_plan"] is not None  # the order alone is kept
         copy = dataclasses.replace(c)
-        assert "_absorbable" not in vars(copy) and "_absorbable" not in repr(c)
+        assert "_plan" not in vars(copy) and "_plan" not in repr(c)
         assert copy == c and absorption_time_moments(copy, 2) == first
         # a replaced generator gets its own verdict, not the one c keeps
         gen = c.generator.copy()
@@ -384,7 +390,8 @@ class TestSerialization:
         # -0.0 is a nonnegative rate and a zero row's entry; json.dumps writes it as -0.0
         gen = np.array([[-2.0, -0.0, 2.0, 0.0], [0.0, -1.5, -0.0, 1.5],
                         [-0.0, 0.0, -1e-300, 1e-300], [0.0, -0.0, 0.0, -0.0]])
-        c = CtmcExport.from_generator(("A", "B", "C", "E"), gen, np.array([0.5, 0.5, -0.0, 0.0]), 3)
+        c = CtmcExport(("A", "B", "C", "E"), None, None, np.array([0.5, 0.5, -0.0, 0.0]), 3,
+                       generator=gen)
         text = export_json(c)
         assert text == self._dumps(c) and text.count("-0.0") == 6  # one in initial
         assert export_json(parse_ctmc_json(text)) == text
@@ -449,11 +456,22 @@ def _two_state_text(**changes):
                                   '"initial": [1], "absorbing": 0}', "[" * 100_000,
                                   _two_state_text(absorbing=1.5), _two_state_text(absorbing=True),
                                   _two_state_text(absorbing="1"), _two_state_text(labels="AE"),
-                                  _two_state_text(labels=[1, 2]), _two_state_text(labels=[None, "E"])],
+                                  _two_state_text(labels=[1, 2]), _two_state_text(labels=[None, "E"]),
+                                  _two_state_text(generator=[["-1", "1"], ["0", "0"]]),
+                                  _two_state_text(generator=[[-1, 1], [False, False]]),
+                                  _two_state_text(initial=["1", "0"]),
+                                  _two_state_text(initial=[True, False]),
+                                  _two_state_text(generator=[[-1, 1], [0, 10**400]]),
+                                  _two_state_text(initial=[1, 10**400]),
+                                  _two_state_text(generator=[[], [0, 0]]),
+                                  _two_state_text() + " 1"],
                          ids=["empty_object", "list", "not_json", "missing_fields",
                               "absorbing_not_int", "ragged_generator", "deeply_nested",
                               "absorbing_float", "absorbing_bool", "absorbing_string",
-                              "labels_string", "labels_not_strings", "labels_null"])
+                              "labels_string", "labels_not_strings", "labels_null",
+                              "generator_strings", "generator_bools", "initial_strings",
+                              "initial_bools", "generator_huge_int", "initial_huge_int",
+                              "row_without_diagonal", "extra_data"])
 def test_unreadable_ctmc_json_is_malformed(text):
     with pytest.raises(MalformedModel):
         parse_ctmc_json(text)
@@ -471,12 +489,36 @@ _E2 = [[-2.0, 2.0, 0.0], [0.0, -2.0, 2.0], [0.0, 0.0, 0.0]]
     (("A", "B", "E"), [[float("nan"), 2.0, 0.0]] + _E2[1:], [1.0, 0.0, 0.0], 2),
     (("A", "B", "E"), [[-float("inf"), 2.0, 0.0]] + _E2[1:], [1.0, 0.0, 0.0], 2),
     (("A", "B", "E"), _E2, [-1.0, 2.0, 0.0], 2),
+    (("A", "B", "E"), _E2, [1.0, 0.0], 2),
+    (("A", "E"), [[-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]], [1.0, 0.0], 1),
 ], ids=["shape", "row_sum", "sign", "absorbing_row", "initial_sum", "nan_rate",
-        "infinite_rate", "negative_initial"])
+        "infinite_rate", "negative_initial", "initial_length", "rows_too_long"])
 def test_invalid_ctmc_is_malformed(labels, gen, init, absorbing):
     with pytest.raises(MalformedModel):
-        CtmcExport.from_generator(labels, np.array(gen), np.array(init), absorbing)
+        CtmcExport(labels, None, None, np.array(init), absorbing, generator=np.array(gen))
     text = json.dumps({"labels": list(labels), "generator": gen, "initial": init,
                        "absorbing": absorbing})
     with pytest.raises(MalformedModel):
         parse_ctmc_json(text)
+
+
+def _edge_list(*edges):
+    return np.array(list(edges), EDGE)
+
+
+@pytest.mark.parametrize("edges,exits,init,generator", [
+    (None, None, [1, 0], None),
+    (None, None, "ab", [[-1.0, 1.0], [0.0, 0.0]]),
+    (None, None, [1, 0], [[-1.0, 1.0], [0.0]]),
+    (None, None, [1, 0], [[], [0.0, 0.0]]),
+    (_edge_list((0, 0, 1.0)), [1.0, 0.0], [1, 0], None),
+    (_edge_list((0, 2, 1.0)), [1.0, 0.0], [1, 0], None),
+    (_edge_list((0, 1, 0.5), (0, 1, 0.5)), [1.0, 0.0], [1, 0], None),
+    (_edge_list((1, 0, -0.0), (0, 1, 1.0)), [1.0, 0.0], [1, 0], None),
+], ids=["no_edges", "initial_string", "ragged_generator", "row_without_diagonal",
+        "diagonal_edge", "edge_out_of_range", "repeated_edge", "edges_not_row_major"])
+def test_unconvertible_or_misplaced_arguments_are_malformed(edges, exits, init, generator):
+    # the first four do not convert to a chain's arrays; the other edges break the edge rules
+    assert CtmcExport(("A", "E"), _edge_list((0, 1, 1.0)), [1.0, 0.0], [1, 0], 1).n_states == 2
+    with pytest.raises(MalformedModel):
+        CtmcExport(("A", "E"), edges, exits, init, 1, generator=generator)

@@ -1,6 +1,7 @@
 """Property tests of the fitting and CTMC export contracts over extreme
 magnitudes."""
 
+import json
 import math
 import sys
 
@@ -27,7 +28,8 @@ from phasefit import (
     pdf,
     sauer_chandy,
 )
-from phasefit.errors import PhasefitError
+from phasefit.errors import MalformedModel, PhasefitError
+from phasefit.markov import CtmcExport
 from phasefit.model import to_phase_type
 
 REL = 1e-9
@@ -125,6 +127,34 @@ def test_ctmc_exports_build_round_trip_and_match_moments(model, log_factor):
     for k in (1, 2, 3):
         assert math.isclose(absorption_time_moments(exact, k), moment_k(model, k),
                             rel_tol=REL)
+
+
+# What a JSON field can hold: None, bools, small and 400-digit integers, floats with NaN and inf,
+# short strings, and lists of these nested to any depth.
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 2), st.integers(10**399, 10**400),
+              st.floats(), st.text(max_size=2)),
+    lambda inner: st.lists(inner, max_size=4), max_leaves=10)
+
+
+@settings(max_examples=300)
+@given(models(decades=1.0), st.data())
+def test_ctmc_input_is_a_chain_or_malformed(model, data):
+    """parse_ctmc_json of an object, and CtmcExport called directly, with every field drawn or with
+    one field of a valid export replaced: each returns a chain or raises MalformedModel."""
+    c = exact_absorbing_ctmc(model)
+    obj = json.loads(export_json(c))
+    args = dict(labels=list(c.labels), edges=c.edges, exits=c.exits, initial=c.initial,
+                absorbing_index=c.absorbing_index, generator=None)
+    for fields in (obj, args):
+        for key in data.draw(st.sampled_from([[key] for key in fields] + [list(fields)])):
+            fields[key] = data.draw(_json_values)
+    for build in (lambda: parse_ctmc_json(json.dumps(obj)), lambda: CtmcExport(**args)):
+        try:
+            assert isinstance(build(), CtmcExport)
+            event("a chain")
+        except MalformedModel:
+            event("MalformedModel")
 
 
 def _mp_moment(model, k):
