@@ -140,8 +140,10 @@ def run_mph1(arrival_rate: float, service: GeneralizedCoxModel,
 
 
 def _batch_means_se(xs: np.ndarray) -> float:
-    if len(xs) < N_BATCHES * 2:
-        return float(xs.std(ddof=1) / math.sqrt(len(xs))) if len(xs) > 1 else 0.0
-    usable = len(xs) - len(xs) % N_BATCHES
-    means = xs[:usable].reshape(N_BATCHES, -1).mean(axis=1)
-    return float(means.std(ddof=1) / math.sqrt(N_BATCHES))
+    if len(xs) < 2:
+        return 0.0
+    p = math.frexp(float(xs.max()))[1]  # in units of 2^p > max xs: exact, and no variance overflows
+    ys = np.ldexp(xs, -p)
+    if len(ys) >= N_BATCHES * 2:
+        ys = ys[:len(ys) - len(ys) % N_BATCHES].reshape(N_BATCHES, -1).mean(axis=1)
+    return math.ldexp(float(ys.std(ddof=1) / math.sqrt(len(ys))), p)

@@ -49,7 +49,8 @@ class DegenerateProbs(PhasefitError):
 # --- fitting ---
 
 class NonPositiveInput(PhasefitError):
-    """Mean and variance targets must be positive."""
+    """An input out of its range: a mean or variance target, a moment order, an arrival rate, a
+    calendar time, a stage count or branch length, or probabilities and lengths that do not pair."""
 
 
 class DomainError(PhasefitError):

@@ -20,6 +20,7 @@ from .errors import (
     DeterministicUnrepresentable,
     DomainError,
     InsufficientData,
+    MomentOverflow,
     NegativeObservation,
     NonFiniteObservation,
     NonPositiveInput,
@@ -211,4 +212,9 @@ def sample_stats(data) -> MomentSummary:
         raise NonFiniteObservation("observations must be finite")
     if np.any(xs < 0.0):
         raise NegativeObservation("observations must be nonnegative")
-    return MomentSummary.from_mean_var(float(xs.mean()), float(xs.var(ddof=1)))
+    p = math.frexp(float(xs.max()))[1]  # in units of 2^p > max xs: exact, and no square overflows
+    ys = np.ldexp(xs, -p)
+    m, s2 = float(ys.mean()), float(ys.var(ddof=1))
+    if math.frexp(s2)[1] + 2 * p > 1024:  # E[X^2] passes the float range (at s2 = 0 as mean^2)
+        raise MomentOverflow("observations must be small enough for a float second moment")
+    return MomentSummary.from_mean_var(math.ldexp(m, p), math.ldexp(s2, 2 * p))

@@ -41,8 +41,8 @@ class CtmcExport:
     -0.0 for a +0.0). Given a dense generator=, both come from it. An argument that does not
     convert, or a list of rates or probabilities that holds anything but ints and floats, raises
     MalformedModel. The generator is a dense view, built on demand.
-    The arrays must not be changed in place: only the order of the states is worked out once per
-    export and kept with it."""
+    The arrays must not be changed in place: one search back from E, which orders the states and
+    finds a cycle, is kept per export; a state it does not reach raises on every call."""
 
     labels: tuple[str, ...]
     edges: np.ndarray
@@ -73,8 +73,8 @@ class CtmcExport:
         if not (np.all(np.isfinite(rate)) and np.all(np.isfinite(exits)) and np.all(
                 np.abs(np.bincount(src, rate, n) - exits) <= ROW_SUM_TOL * np.abs(exits))):
             raise MalformedModel("generator rows must be finite and sum to 0")
-        if not np.all(rate >= 0.0):
-            raise MalformedModel("off-diagonal rates must be nonnegative")
+        if not (np.all(rate >= 0.0) and np.all(rate.view(np.int64))):  # all-zero bits: +0.0
+            raise MalformedModel("edge rates must be nonnegative, and not +0.0")
         zero_rows = np.flatnonzero(exits == 0.0)  # by the row sums, only zero rates leave these
         if len(zero_rows) != 1 or zero_rows[0] != absorbing_index:
             raise MalformedModel("exactly one absorbing (zero) row is required")
@@ -105,24 +105,31 @@ class CtmcExport:
 
     @functools.cached_property
     def _plan(self) -> list[tuple[int, float, list[tuple[int, float]]]] | None:
-        """Each transient state, its exit rate and its positive edges, from the last to the first
-        in an order where every positive edge goes forward (Kahn's algorithm); None for a cycle."""
-        n, edges = self.n_states, self.edges[self.edges["rate"] > 0.0]
+        """Each transient state, its exit rate and its positive edges, each after the states its
+        edges lead to: the reversed finishing order of a depth-first search from E back over the
+        positive edges. None for a cycle; a state never reached raises ReducibleChain."""
+        n, exits, edges = self.n_states, self.exits.tolist(), self.edges[self.edges["rate"] > 0.0]
+        sources, targets = edges["source"].tolist(), edges["target"].tolist()
         bounds = np.searchsorted(edges["source"], np.arange(n + 1)).tolist()
-        pairs = list(zip(edges["target"].tolist(), edges["rate"].tolist()))
-        succ = [pairs[bounds[i]:bounds[i + 1]] for i in range(n)]
-        indegree = np.bincount(edges["target"], minlength=n).tolist()
-        ready, order = [i for i in range(n) if not indegree[i]], []
-        while ready:
-            order.append(ready.pop())
-            for j, _ in succ[order[-1]]:
-                indegree[j] -= 1
-                if not indegree[j]:
-                    ready.append(j)
-        if len(order) < n:
-            return None
-        exits = self.exits.tolist()
-        return [(i, exits[i], succ[i]) for i in reversed(order) if i != self.absorbing_index]
+        pairs = list(zip(targets, edges["rate"].tolist()))
+        preds = [[] for _ in range(n)]
+        for i, j in zip(sources, targets):
+            preds[j].append(i)
+        mark, finished, cyclic, stack = [0] * n, [], False, [self.absorbing_index]
+        while stack:  # i enters the search's path, ~i leaves it; mark: 1 on the path, 2 left
+            i = stack.pop()
+            if i < 0:
+                finished.append(~i)
+                mark[~i] = 2
+            elif mark[i]:
+                cyclic = cyclic or mark[i] == 1
+            else:
+                mark[i] = 1
+                stack += [~i, *preds[i]]
+        if unreached := [label for label, m in zip(self.labels, mark) if not m]:
+            raise ReducibleChain(f"absorbing state unreachable from {unreached}")
+        return None if cyclic else [(i, exits[i], pairs[bounds[i]:bounds[i + 1]])
+                                    for i in reversed(finished[:-1])]
 
 
 def _refuse_past_the_cap(ctmc: CtmcExport, what: str):
@@ -196,22 +203,6 @@ def approx_ctmc(model: GeneralizedCoxModel, big_lambda: float | None = None) -> 
     return _chain(model, big_lambda)
 
 
-def _unreachable(ctmc: CtmcExport) -> list[str]:
-    """Labels of the states that cannot reach the absorbing state through positive rates."""
-    edges = ctmc.edges[ctmc.edges["rate"] > 0.0]
-    preds = [[] for _ in ctmc.labels]
-    for i, j in zip(edges["source"].tolist(), edges["target"].tolist()):
-        preds[j].append(i)
-    reaches, frontier = [False] * ctmc.n_states, [ctmc.absorbing_index]
-    reaches[ctmc.absorbing_index] = True
-    while frontier:
-        for i in preds[frontier.pop()]:
-            if not reaches[i]:
-                reaches[i] = True
-                frontier.append(i)
-    return [label for label, r in zip(ctmc.labels, reaches) if not r]
-
-
 def _back_substitute(plan, b: list[float]) -> list[float]:
     """(-T)^-1 b along the plan, each state from the states after it."""
     v = [0.0] * len(b)
@@ -232,14 +223,13 @@ def absorption_time_moments(ctmc: CtmcExport, k: int) -> float:
     time unit of analysis._unit_exponent."""
     if k < 1:
         raise NonPositiveInput("moment order must be >= 1")
-    if ctmc._plan is None and (unreachable := _unreachable(ctmc)):  # acyclic: every state reaches E
-        raise ReducibleChain(f"absorbing state unreachable from {unreachable}")
+    plan = ctmc._plan  # ReducibleChain first, on every call: a raise is not cached
     a = ctmc.initial.tolist()
     a[ctmc.absorbing_index] = 0.0
     if not any(a):  # no mass starts in a transient state
         return 0.0
-    if ctmc._plan is not None:
-        solve = functools.partial(_back_substitute, ctmc._plan)
+    if plan is not None:
+        solve = functools.partial(_back_substitute, plan)
     else:
         transient = np.delete(np.arange(ctmc.n_states), ctmc.absorbing_index)
         t_block = -ctmc.generator[np.ix_(transient, transient)]

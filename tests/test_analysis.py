@@ -578,10 +578,15 @@ class TestMinSecondMoment:
         assert r.jstar == 0
         assert r.optimal_x[1] == ()
 
-    @pytest.mark.parametrize("probs", [[-0.5, 1.5], [math.nan, 1.0]])
+    @pytest.mark.parametrize("probs", [[-0.5, 1.5], [math.nan, 1.0], [0.5, 0.4]])
     def test_probability_outside_unit_interval_rejected(self, probs):
         with pytest.raises(ProbSumInvalid):
             min_second_moment(probs, [1, 2], 1.0)
+
+    @pytest.mark.parametrize("probs, lengths", [([1.0], [1, 2]), ([], [])], ids=["unpaired", "empty"])
+    def test_probabilities_without_one_length_each_rejected(self, probs, lengths):
+        with pytest.raises(NonPositiveInput, match="one length per probability"):
+            min_second_moment(probs, lengths, 1.0)
 
     def test_all_mass_on_atoms_rejected(self):
         for probs, lengths in [([1.0], [0]), ([0.5, 0.5], [0, 0]), ([1.0, 0.0], [0, 2])]:
@@ -596,6 +601,12 @@ def test_variance_nonnegative_random_models():
     for _ in range(100):
         m = random_model(rng, allow_instant=True)
         assert variance(m) >= -1e-12
+
+
+@pytest.mark.parametrize("mu, sigma2", [(-1.0, 0.0), (1.0, -1.0)])
+def test_summary_of_a_negative_mean_or_variance_is_refused(mu, sigma2):
+    with pytest.raises(NonPositiveInput):
+        MomentSummary.from_mean_var(mu, sigma2)
 
 
 def test_variance_beyond_squared_mean_range():

@@ -67,15 +67,30 @@ class TestFit:
         model = model_from_json(out)
         assert "achieved_mean=2.5" in err
 
+    # 3e200 beside 1 and 3: the variance passes the float range (with no numpy warning)
     @pytest.mark.parametrize("value, error", [("nan", "NonFiniteObservation"),
                                               ("-inf", "NonFiniteObservation"),
-                                              ("-1.0", "NegativeObservation")])
+                                              ("-1.0", "NegativeObservation"),
+                                              ("3e200", "MomentOverflow")])
     def test_fit_from_data_refuses_a_bad_observation(self, capsys, tmp_path, value, error):
         path = tmp_path / "obs.csv"
         path.write_text(f"1.0\n{value}\n3.0\n")
         code, out, err = run_cli(capsys, "fit", "--data", str(path))
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {error}: observations must be")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--mean", "1", "--var", "2", "--family", "bogus"), "unknown family 'bogus'"),
+        (("--mean", "1"), "fit requires --var with --mean"),
+    ], ids=["unknown_family", "mean_without_var"])
+    def test_usage_error_exits_2(self, capsys, argv, message):
+        try:
+            code = main(["fit", *argv])
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert message in err and "Traceback" not in err
 
 
 def _write_model(capsys, tmp_path, mean, var):
@@ -309,6 +324,17 @@ class TestSimulate:
                                  "--arrival-rate", arrival_rate, "--customers", customers)
         assert (code, out) == (2, "")
         assert err == "error: MomentOverflow: the last departure time exceeds the float range\n"
+
+    def test_batch_means_whose_variance_passes_the_float_range_give_a_finite_se(self, capsys,
+                                                                               tmp_path):
+        # waits near 1e160: the variance of their batch means is about 1e318, its root is not
+        path = tmp_path / "service.json"
+        path.write_text(json.dumps({"branches": [{"prob": 1.0, "rates": [1e-160]}]}))
+        code, out, err = run_cli(capsys, "simulate", "--service", str(path), "--arrival-rate",
+                                 "5e-161", "--customers", "2000", "--seed", "1")
+        stats = dict(line.split("=", 1) for line in out.splitlines())
+        assert (code, err) == (0, "")
+        assert 0.0 < float(stats["se_wait"]) < float(stats["mean_wait"]) < math.inf
 
 
 def test_pipeline_fit_sample_verify(capsys, tmp_path):

@@ -284,6 +284,17 @@ class TestErlangApproximation:
         assert erlang_approximation(mu, n).model == fit.model
 
 
+@pytest.mark.parametrize("fit, args, error, message", [
+    (fit_two_moments, (1.0, -1.0), NonPositiveInput, "variance must be nonnegative"),
+    (fit_two_moments, (1.0, math.nan), NonPositiveInput, "variance must be nonnegative"),
+    (almost_erlang, (1.0, 1.0 - 1e-13), DomainError, "must be >= 2"),  # N = 1
+    (erlang_approximation, (1.0, 0), NonPositiveInput, "stage count"),
+], ids=["negative_variance", "nan_variance", "almost_erlang_of_one_stage", "no_stages"])
+def test_targets_outside_a_construction_are_refused(fit, args, error, message):
+    with pytest.raises(error, match=message):
+        fit(*args)
+
+
 @pytest.mark.parametrize("mu, sigma2", [(1e-10, 1e300), (1e-200, 1e100)])
 @pytest.mark.parametrize("fit", [fit_two_moments, simplest_hyper, sauer_chandy, almost_erlang])
 def test_cv2_past_float_range_names_itself(fit, mu, sigma2):

@@ -277,7 +277,7 @@ class TestAbsorptionMoments:
         assert c._plan is None
 
     def test_acyclic_chain_in_any_state_order_is_back_substituted(self):
-        # Kahn's algorithm orders a permuted chain; its moments are those of the chain in order
+        # the search back from E orders a permuted chain; its moments are those of the chain in order
         m = new_model([Branch(0.25, ()), Branch(0.35, (1.0, 2.0, 3.0)), Branch(0.4, (0.5,) * 7)])
         c = approx_ctmc(m, 1e3)
         perm = np.random.default_rng(25).permutation(c.n_states)
@@ -515,8 +515,10 @@ def _edge_list(*edges):
     (_edge_list((0, 2, 1.0)), [1.0, 0.0], [1, 0], None),
     (_edge_list((0, 1, 0.5), (0, 1, 0.5)), [1.0, 0.0], [1, 0], None),
     (_edge_list((1, 0, -0.0), (0, 1, 1.0)), [1.0, 0.0], [1, 0], None),
+    (_edge_list((0, 1, 1.0), (1, 0, 0.0)), [1.0, 0.0], [1, 0], None),
 ], ids=["no_edges", "initial_string", "ragged_generator", "row_without_diagonal",
-        "diagonal_edge", "edge_out_of_range", "repeated_edge", "edges_not_row_major"])
+        "diagonal_edge", "edge_out_of_range", "repeated_edge", "edges_not_row_major",
+        "positive_zero_edge"])
 def test_unconvertible_or_misplaced_arguments_are_malformed(edges, exits, init, generator):
     # the first four do not convert to a chain's arrays; the other edges break the edge rules
     assert CtmcExport(("A", "E"), _edge_list((0, 1, 1.0)), [1.0, 0.0], [1, 0], 1).n_states == 2

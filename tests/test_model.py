@@ -55,6 +55,16 @@ def test_nonpositive_rate_rejected():
         Branch(1.0, (math.inf,))
 
 
+@pytest.mark.parametrize("build, error", [
+    (lambda: Branch(1.5), ProbSumInvalid),
+    (lambda: ClassicalCoxSpec((1.5,), (1.0,)), ProbSumInvalid),
+    (lambda: ClassicalCoxSpec((0.1, 0.2), (1.0,)), UnsupportedShape),
+], ids=["branch_probability", "abandonment_probability", "one_probability_per_stage"])
+def test_probability_or_spec_out_of_range_rejected(build, error):
+    with pytest.raises(error):
+        build()
+
+
 def test_small_drift_renormalized():
     m = new_model([Branch(0.5 + 2e-10, (1.0,)), Branch(0.5, (2.0,))])
     assert abs(sum(b.prob for b in m.branches) - 1.0) <= 1e-12
