@@ -133,8 +133,7 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     service = _load_model(args.service)
-    stats = des.run_mph1(args.arrival_rate, service,
-                         n_customers=args.customers, seed=args.seed)
+    stats = des.run_mph1(args.arrival_rate, service, n_customers=args.customers, seed=args.seed)
     for key, value in dataclasses.asdict(stats).items():
         print(f"{key}={value!r}")
     try:

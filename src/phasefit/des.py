@@ -40,9 +40,9 @@ class EventCalendar:
         return t
 
     def schedule_at(self, time: float, event_id) -> None:
-        """Insert an event at an absolute (pre-drawn) time."""
-        if not time >= self.clock:  # also refuses NaN
-            raise NonPositiveInput("cannot schedule before the current clock")
+        """Insert an event at an absolute (pre-drawn), finite time."""
+        if not self.clock <= time < math.inf:  # also refuses NaN
+            raise NonPositiveInput(f"cannot schedule at {time!r}: before the clock or not finite")
         heapq.heappush(self._heap, (time, self._seq, event_id))
         self._seq += 1
 
@@ -111,8 +111,7 @@ def run_mph1(arrival_rate: float, service: GeneralizedCoxModel,
     rho = arrival_rate * analysis.mean(service)
     stable = rho < 1.0
     if not stable:
-        warnings.warn(f"rho = {rho} >= 1; statistics are transient",
-                      UnstableSystemWarning)
+        warnings.warn(f"rho = {rho} >= 1; statistics are transient", UnstableSystemWarning)
 
     arr_state, svc_state = sampling.split_seeds(seed, 2)
     try:  # the per-customer arrays
@@ -128,22 +127,22 @@ def run_mph1(arrival_rate: float, service: GeneralizedCoxModel,
         raise MomentOverflow("the last departure time exceeds the float range")
 
     cut = int(WARMUP_FRACTION * n_customers)
-    mean_wait = float(waits[cut:].mean())
+    p = math.frexp(float(waits[cut:].max()))[1]  # units of 2^p > the largest wait: exact, no sum
+    ys = np.ldexp(waits[cut:], -p)  # or variance overflows, and the fewest squares underflow
+    mean_wait = math.ldexp(float(ys.mean()), p)
     return QueueStats(
         n_served=n_customers,
         mean_wait=mean_wait,
         mean_system_time=mean_wait + float(services[cut:].mean()),
         utilization=float(min(services.sum() / last_departure, 1.0)) if last_departure > 0 else 0.0,
-        se_wait=_batch_means_se(waits[cut:]),
+        se_wait=math.ldexp(_batch_means_se(ys), p),
         stable=stable,
     )
 
 
-def _batch_means_se(xs: np.ndarray) -> float:
-    if len(xs) < 2:
+def _batch_means_se(ys: np.ndarray) -> float:
+    if len(ys) < 2:
         return 0.0
-    p = math.frexp(float(xs.max()))[1]  # in units of 2^p > max xs: exact, and no variance overflows
-    ys = np.ldexp(xs, -p)
     if len(ys) >= N_BATCHES * 2:
         ys = ys[:len(ys) - len(ys) % N_BATCHES].reshape(N_BATCHES, -1).mean(axis=1)
-    return math.ldexp(float(ys.std(ddof=1) / math.sqrt(len(ys))), p)
+    return float(ys.std(ddof=1) / math.sqrt(len(ys)))

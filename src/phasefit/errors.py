@@ -49,8 +49,8 @@ class DegenerateProbs(PhasefitError):
 # --- fitting ---
 
 class NonPositiveInput(PhasefitError):
-    """An input out of its range: a mean or variance target, a moment order, an arrival rate, a
-    calendar time, a stage count or branch length, or probabilities and lengths that do not pair."""
+    """An input out of range: a mean or variance target, moment order, arrival rate, calendar
+    time, seed, stage count or branch length, or probabilities and lengths that do not pair."""
 
 
 class DomainError(PhasefitError):
@@ -84,7 +84,7 @@ class NonFiniteObservation(PhasefitError):
 # --- sampling ---
 
 class NegativeCount(PhasefitError):
-    """A number of draws must be nonnegative."""
+    """A count of draws, customers or streams must be nonnegative."""
 
 
 # --- markov ---

@@ -99,15 +99,14 @@ def _chain(mu: float, n: int, alpha: float) -> GeneralizedCoxModel:
 
 
 def almost_erlang(mu: float, sigma2: float) -> FitResult:
-    """Single-branch hypoexponential: N-1 equal stage means plus one
-    distinct stage, with N = ceil(mu^2/sigma^2)."""
+    """Single-branch hypoexponential: N-1 equal stage means plus one distinct
+    stage, with N = ceil(mu^2/sigma^2) >= 2; fit_two_moments on that domain."""
     cv2 = _check_targets(mu, sigma2)
     if cv2 >= 1.0:
         raise DomainError("almost-Erlang requires sigma^2 < mu^2")
-    n = _minimal_states(mu, sigma2, cv2)
-    if n < 2:
+    if _minimal_states(mu, sigma2, cv2) < 2:
         raise DomainError("ceil(mu^2/sigma^2) must be >= 2")
-    return _almost_erlang(mu, sigma2, cv2, n)
+    return fit_two_moments(mu, sigma2)
 
 
 def _almost_erlang(mu: float, sigma2: float, cv2: float, n: int) -> FitResult:
@@ -141,19 +140,12 @@ def _two_branch(mu: float, cv2: float, p: float) -> tuple[GeneralizedCoxModel, f
 
 
 def simplest_hyper(mu: float, sigma2: float) -> FitResult:
-    """One exponential state plus an atom at zero: the p = 2/(1+Cv^2) limit
-    of hyper_family, and the minimal topology for Cv >= 1."""
+    """One exponential state plus an atom at zero: the p = 2/(1+Cv^2) limit of
+    hyper_family, the minimal topology for Cv >= 1; fit_two_moments there."""
     cv2 = _check_targets(mu, sigma2)
     if cv2 < 1.0:
         raise DomainError("simplest hyperexponential requires sigma^2 >= mu^2")
-    return _simplest_hyper(mu, sigma2, cv2)
-
-
-def _simplest_hyper(mu: float, sigma2: float, cv2: float) -> FitResult:
-    p = 2.0 / (1.0 + cv2)
-    model, _ = _two_branch(mu, cv2, p)
-    family = EXPONENTIAL if p == 1.0 else SIMPLEST_HYPER
-    return _result(model, family, mu, sigma2, p)
+    return fit_two_moments(mu, sigma2)
 
 
 def hyper_family(mu: float, sigma2: float, p: float) -> FitResult:
@@ -170,12 +162,12 @@ def fit_two_moments(mu: float, sigma2: float) -> FitResult:
     """Minimal-state fit of the first two moments; the targets are checked once."""
     cv2 = _check_targets(mu, sigma2)
     if sigma2 == 0.0:
-        raise DeterministicUnrepresentable(
-            "zero variance needs infinitely many stages; "
-            "use an explicit Erlang-N approximation instead"
-        )
-    if cv2 >= 1.0:
-        return _simplest_hyper(mu, sigma2, cv2)
+        raise DeterministicUnrepresentable("zero variance needs infinitely many stages; "
+                                           "use an explicit Erlang-N approximation instead")
+    if cv2 >= 1.0:  # the simplest hyperexponential, with alpha_n = p
+        p = 2.0 / (1.0 + cv2)
+        model, _ = _two_branch(mu, cv2, p)
+        return _result(model, EXPONENTIAL if p == 1.0 else SIMPLEST_HYPER, mu, sigma2, p)
     return _almost_erlang(mu, sigma2, cv2, _minimal_states(mu, sigma2, cv2))
 
 

@@ -41,6 +41,8 @@ class SamplerState:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise NonPositiveInput(f"seed must be nonnegative, got {seed!r}")
         self.counter = 0
         self._rng = np.random.Generator(np.random.PCG64(self.seed))
 
@@ -60,6 +62,10 @@ class SamplerState:
 
 def split_seeds(seed: int, n: int) -> list[SamplerState]:
     """n sampler states with guaranteed-distinct streams derived from seed."""
+    if seed < 0:
+        raise NonPositiveInput(f"seed must be nonnegative, got {seed!r}")
+    if n < 0:
+        raise NegativeCount(f"stream count must be nonnegative, got {n}")
     children = np.random.SeedSequence(seed).spawn(n)
     return [SamplerState(int(c.generate_state(1, np.uint64)[0])) for c in children]
 

@@ -1,11 +1,15 @@
+import itertools
 import json
 import math
+import re
+import warnings
 
 import pytest
 
 from phasefit import (SamplerState, exact_absorbing_ctmc, export_json, markov, model_from_json,
                       model_to_json, sample_n, sampling, sauer_chandy)
 from phasefit.cli import main
+from phasefit.errors import UnstableSystemWarning
 from tests.test_sampling import HUGE, run_limited
 
 
@@ -559,3 +563,64 @@ def test_memory_error_past_the_arrays_exits_2(capsys, tmp_path, monkeypatch):
     path = _write_model(capsys, tmp_path, 1, 4)
     monkeypatch.setattr(sampling, "sample_n", fail)
     assert run_cli(capsys, "sample", "--model", str(path), "-n", "5") == (2, "", "error: MemoryError\n")
+
+
+# Model rates across the float range, each in four shapes: one stage, two equal stages, a stage
+# beside an atom, and a two-stage branch beside a one-stage branch.
+EXTREME_RATES = (1e-308, 1e-160, 1e-10, 1.0, 1e10, 1e160, 1e308)
+EXTREME_SHAPES = (lambda r: [(1.0, [r])], lambda r: [(1.0, [r, r])],
+                  lambda r: [(0.5, [r]), (0.5, [])], lambda r: [(0.5, [r, r]), (0.5, [r])])
+EXTREME_ARRIVAL_RATES = ("1e-303", "1e-150", "1e-10", "1", "1e10", "1e150", "1e300")
+EXTREME_TARGETS = ("1e-300", "1", "1e154", "1e300")
+NONFINITE = re.compile(r"\b(inf|infinity|nan)\b", re.IGNORECASE)
+
+
+def _contract_call(capsys, *argv):
+    """Exit code, stdout and stderr of one in-process call, checked against the CLI's contract:
+    exit 0, 1 or 2, no traceback, no warning but UnstableSystemWarning, no inf or nan printed."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2) and "Traceback" not in err, (argv, code, err)
+    assert not NONFINITE.search(out), (argv, out)
+    assert all(issubclass(w.category, UnstableSystemWarning) for w in caught), (argv, caught)
+    return code, out, err
+
+
+def test_every_subcommand_holds_its_contract_at_extreme_magnitudes(capsys, tmp_path,
+                                                                   monkeypatch):
+    monkeypatch.delenv("PHASEFIT_SEED", raising=False)
+    for i, (rate, shape) in enumerate(itertools.product(EXTREME_RATES, EXTREME_SHAPES)):
+        path = tmp_path / f"model{i}.json"
+        path.write_text(json.dumps({"branches": [{"prob": p, "rates": rates}
+                                                 for p, rates in shape(rate)]}))
+        for argv in (("sample", "-n", "5"), ("moments", "-k", "4"), ("export",),
+                     ("export", "--format", "dot", "--approx-routing", "1e308"),
+                     ("verify", "-n", "1000")):
+            _contract_call(capsys, *argv, "--model", str(path))
+        for arrival_rate in EXTREME_ARRIVAL_RATES:
+            _contract_call(capsys, "simulate", "--service", str(path), "--arrival-rate",
+                           arrival_rate, "--customers", "2000")
+    for family, mean, var in itertools.product(
+            ("auto", "almost-erlang", "simplest-hyper", "hyper:0.5", "sauer-chandy"),
+            EXTREME_TARGETS, EXTREME_TARGETS):
+        _contract_call(capsys, "fit", "--mean", mean, "--var", var, "--family", family)
+
+    # waits near 1e307 at rho = 10, whose sum passes the float range
+    path = tmp_path / "slow.json"
+    path.write_text(json.dumps({"branches": [{"prob": 1.0, "rates": [1e-304]}]}))
+    code, out, _ = _contract_call(capsys, "simulate", "--service", str(path), "--arrival-rate",
+                                  "1e-303", "--customers", "2000", "--seed", "1")
+    stats = dict(line.split("=", 1) for line in out.splitlines())
+    assert code == 0
+    assert all(0.0 < float(stats[k]) < math.inf for k in ("mean_wait", "mean_system_time",
+                                                          "se_wait"))
+
+    code, out, err = _contract_call(capsys, "sample", "--model", str(path), "-n", "5",
+                                    "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: NonPositiveInput: seed must be nonnegative, got -1\n"

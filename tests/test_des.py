@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -53,9 +54,14 @@ class TestEventCalendar:
 
     def test_nan_time_rejected(self):
         cal = EventCalendar(SamplerState(0))
-        with pytest.raises(NonPositiveInput):
-            cal.schedule_at(math.nan, "a")
+        for time in (math.nan, math.inf):
+            with pytest.raises(NonPositiveInput):
+                cal.schedule_at(time, "a")
         assert len(cal) == 0 and cal.clock == 0.0
+        cal.clock = sys.float_info.max  # the clock plus a drawn delay passes the float range
+        with pytest.raises(NonPositiveInput):
+            cal.schedule(exponential_model(1e-300), "b")
+        assert len(cal) == 0 and cal.clock == sys.float_info.max
 
     def test_schedule_reproduces_sampler_sequence(self):
         m = exponential_model(2.0)
@@ -134,6 +140,22 @@ class TestRunMph1:
             warnings.simplefilter("error")
             with pytest.raises(NonPositiveInput):
                 run_mph1(rate, exponential_model(1.0), n_customers=10)
+
+    @pytest.mark.filterwarnings("ignore::phasefit.errors.UnstableSystemWarning")
+    def test_waits_whose_sum_passes_the_float_range_give_finite_statistics(self):
+        # rho = 10 at a 1e304 mean service: waits near 1e307, 1800 of them sum past 1e310
+        stats = run_mph1(1e-303, exponential_model(1e-304), n_customers=2000, seed=1)
+        assert 1e306 < stats.se_wait < stats.mean_wait < stats.mean_system_time < math.inf
+
+    @pytest.mark.filterwarnings("ignore::phasefit.errors.UnstableSystemWarning")
+    def test_se_wait_keeps_its_scale_beside_a_huge_last_service(self):
+        # at this seed only the last customer draws the rate-1e-300 branch: the last departure
+        # is near 1e300 while the waits are near 1, whose batch means squared in units of the
+        # last departure would underflow to an se_wait of 0
+        service = new_model([Branch(0.999, (1.0,)), Branch(0.001, (1e-300,))])
+        stats = run_mph1(0.5, service, n_customers=1000, seed=254)
+        assert stats.mean_system_time > 1e296
+        assert 0.1 < stats.se_wait < stats.mean_wait < 10.0
 
     def test_deterministic_given_seed(self):
         service = fit_two_moments(0.5, 0.1).model

@@ -25,7 +25,7 @@ from phasefit import (
     split_seeds,
 )
 from phasefit.errors import (DomainError, InsufficientData, MomentOverflow, NegativeCount,
-                             NonPositiveRate)
+                             NonPositiveInput, NonPositiveRate)
 
 
 class TestSamplerState:
@@ -48,6 +48,22 @@ class TestSamplerState:
         states = split_seeds(7, 4)
         streams = [tuple(s.uniforms(50)) for s in states]
         assert len(set(streams)) == 4
+
+    def test_split_seeds_keeps_its_streams(self):
+        assert [s.seed for s in split_seeds(5, 2)] == [15658875773272509128, 6924645418555453511]
+
+    @pytest.mark.parametrize("call", [
+        lambda: SamplerState(-1), lambda: split_seeds(-1, 2),
+        lambda: empirical_check(exponential_model(1.0), 10, seed=-3),
+        lambda: phasefit.run_mph1(0.5, exponential_model(1.0), n_customers=10, seed=-3)],
+        ids=["state", "split", "empirical_check", "run_mph1"])
+    def test_negative_seed_refused_by_name(self, call):
+        with pytest.raises(NonPositiveInput, match="seed must be nonnegative, got -"):
+            call()
+
+    def test_negative_stream_count_refused(self):
+        with pytest.raises(NegativeCount, match="stream count"):
+            split_seeds(0, -1)
 
 
 def _fixed_uniforms(u: float) -> SamplerState:
